@@ -31,11 +31,44 @@ EXIT_UNDECIDED = 3
 DEFAULT_ROW_CAP = 2_000_000
 
 
-def _row_cap(args) -> int:
+class UsageError(Exception):
+    """A malformed argument or environment setting (exit code 2)."""
+
+
+def _int_arg(text: str, minimum: int | None = None) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_arg(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_arg(text, 1)
+
+
+def _label_pair(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected k,l, got {text!r}")
+    return _nonnegative_int(parts[0]), _int_arg(parts[1])
+
+
+def _row_cap(flag: int | None) -> int:
+    """The membership row cap: BRAIDFOQ_ROW_CAP, else --row-cap, else the default."""
     env = os.environ.get("BRAIDFOQ_ROW_CAP")
     if env is not None:
-        return int(env)
-    return getattr(args, "row_cap", DEFAULT_ROW_CAP) or DEFAULT_ROW_CAP
+        try:
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"BRAIDFOQ_ROW_CAP {exc}") from None
+    return flag or DEFAULT_ROW_CAP
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -46,18 +79,38 @@ def _emit(report: dict, out_path: str | None) -> None:
             handle.write(text + "\n")
 
 
+# what a JSON document of the wrong shape raises inside the from_json readers
+_SCHEMA_ERRORS = (KeyError, IndexError, TypeError, AttributeError)
+
+
 def _load_omega(path: str) -> OmegaData:
     with open(path) as handle:
-        return OmegaData.from_json(json.load(handle))
+        data = json.load(handle)
+    try:
+        return OmegaData.from_json(data)
+    except _SCHEMA_ERRORS as exc:
+        raise UsageError(f"{path} is not an instance document: {exc!r}") from None
+
+
+def _load_presentation(path: str):
+    with open(path) as handle:
+        text = handle.read()
+    try:
+        return deserialize_presentation(text)
+    except _SCHEMA_ERRORS as exc:
+        raise UsageError(f"{path} is not a presentation document: {exc!r}") from None
 
 
 def _parse_field(spec: str) -> Field:
     kind, _, value = spec.partition(":")
-    if kind == "cyclo":
-        return Field.cyclotomic(int(value))
-    if kind == "float":
-        return Field.approx(float(value) if value else 1e-10)
-    raise ValueError(f"unknown field spec {spec!r}; use cyclo:N or float:tol")
+    try:
+        if kind == "cyclo":
+            return Field.cyclotomic(int(value))
+        if kind == "float":
+            return Field.approx(float(value) if value else 1e-10)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{spec!r}: {exc}") from None
+    raise argparse.ArgumentTypeError(f"unknown field spec {spec!r}; use cyclo:N or float:tol")
 
 
 def _parse_scalar(text: str, field: Field) -> Scalar:
@@ -82,7 +135,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    field = _parse_field(args.field)
+    field = args.field
     degrees = tuple(int(x) for x in args.degrees.split(","))
     try:
         zeta_exp = int(args.zeta)
@@ -165,15 +218,14 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.file) as handle:
-        presentation = deserialize_presentation(handle.read())
+    presentation = _load_presentation(args.file)
     if args.check == "coassoc":
         passed = coassociativity_check(presentation)
         _emit({"check": "coassoc", "passed": passed}, args.out)
         return EXIT_OK if passed else EXIT_FAIL
     if args.check == "welldef":
         report = well_definedness_check(presentation, args.bound,
-                                        row_cap=_row_cap(args), workers=args.workers)
+                                        row_cap=args.row_cap, workers=args.workers)
         verdicts = {r["relation"]: r["verdict"] for r in report["relations"]}
         _emit({"check": "welldef", "bound": args.bound, "verdicts": verdicts,
                "all_in_ideal": report["all_in_ideal"]}, args.out)
@@ -202,9 +254,7 @@ def _cmd_verify(args) -> int:
 def _cmd_fuse(args) -> int:
     ctx = FusionContext(n=max(args.n, 2),
                         parity="even_d" if args.parity == "even" else "odd_d")
-    ka, la = (int(x) for x in args.a.split(","))
-    kb, lb = (int(x) for x in args.b.split(","))
-    decomposition = fuse(IrrepLabel(ka, la), IrrepLabel(kb, lb), ctx)
+    decomposition = fuse(IrrepLabel(*args.a), IrrepLabel(*args.b), ctx)
     _emit(decomposition.to_json(), args.out)
     return EXIT_OK
 
@@ -225,10 +275,12 @@ def _cmd_qparam(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    config = RunConfig(seed=args.seed, degree_bound=args.bound,
-                       row_cap=_row_cap(args), workers=args.workers,
-                       field=_parse_field(args.field) if args.field else None,
-                       output=args.out)
+    try:
+        config = RunConfig(seed=args.seed, degree_bound=args.bound,
+                           row_cap=args.row_cap, workers=args.workers,
+                           field=args.field, output=args.out)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report = run_suite(config)
     text = report_to_text(report)
     print(text)
@@ -257,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--blocks", required=True, help="JSON file {degree: matrix}")
     p.add_argument("--c", help="scalar c (JSON, integer, or p/q)")
-    p.add_argument("--field", default="cyclo:8", help="cyclo:N or float:tol")
+    p.add_argument("--field", type=_parse_field, default="cyclo:8",
+                   help="cyclo:N or float:tol")
     p.add_argument("--zeta", default="1", help="zeta as root exponent or scalar JSON")
     _common(p)
     p.set_defaults(func=_cmd_solve)
@@ -299,17 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="symbolic verification of a presentation")
     p.add_argument("--check", choices=["coassoc", "welldef", "intertwiner"],
                    required=True)
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--row-cap", type=int, default=None, dest="row_cap")
+    p.add_argument("--bound", type=_nonnegative_int, default=3)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the certifier is single-threaded")
+    p.add_argument("--row-cap", type=_positive_int, default=None, dest="row_cap")
     p.add_argument("--emit-cert", dest="emit_cert", help="dump certificates to this path")
     p.add_argument("file")
     _common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fuse", help="tensor-product decomposition of irreducibles")
-    p.add_argument("--a", required=True, help="k,l")
-    p.add_argument("--b", required=True, help="m,j")
+    p.add_argument("--a", type=_label_pair, required=True, help="k,l")
+    p.add_argument("--b", type=_label_pair, required=True, help="m,j")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
     p.add_argument("--n", type=int, default=2)
     _common(p)
@@ -328,10 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the reproducible property battery")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--row-cap", type=int, default=None, dest="row_cap")
-    p.add_argument("--field", help="pin the cyclotomic order of random instances (cyclo:N)")
+    p.add_argument("--bound", type=_nonnegative_int, default=3)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the report does not depend on it")
+    p.add_argument("--row-cap", type=_positive_int, default=None, dest="row_cap")
+    p.add_argument("--field", type=_parse_field,
+                   help="pin the cyclotomic order of random instances (cyclo:N)")
     _common(p)
     p.set_defaults(func=_cmd_suite)
 
@@ -342,8 +398,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "row_cap"):
+            args.row_cap = _row_cap(args.row_cap)
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, ZeroDivisionError) as exc:

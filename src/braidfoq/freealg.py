@@ -18,10 +18,9 @@ Gaussian elimination.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
-from .scalar import Field, FieldMismatch, Scalar
+from .scalar import Field, FieldMismatch, PhasePowers, Scalar
 
 __all__ = [
     "AlgebraContext",
@@ -107,19 +106,20 @@ class AlgebraContext:
     field: Field
     zeta: Scalar
     degrees: tuple[int, ...]
+    # zeta_pow(e) == zeta^e, memoised per context
+    zeta_pow: PhasePowers = dataclass_field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.zeta.field != self.field:
             raise ValueError("zeta must live in the context field")
+        # the z-rewriting and zeta_pow take conj(zeta) as the inverse of zeta
+        if not (self.zeta * self.zeta.conj()).is_one():
+            raise ValueError("zeta must have modulus one")
+        object.__setattr__(self, "zeta_pow", PhasePowers(self.zeta))
 
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-    def zeta_pow(self, exponent: int) -> Scalar:
-        if exponent >= 0:
-            return self.zeta ** exponent
-        return self.zeta.conj() ** (-exponent)
 
     def zdeg(self, letter: GeneratorSym) -> int:
         """z-commutation degree: z * g = zeta^(-zdeg(g)) * g * z."""
@@ -128,6 +128,9 @@ class AlgebraContext:
         if letter.kind in ("Ustar", "Xstar"):
             return self.degrees[letter.i] - self.degrees[letter.j]
         raise ValueError("z has no z-commutation degree")
+
+    def word_zdeg(self, letters) -> int:
+        return sum(self.zdeg(g) for g in letters)
 
     # letter factories keep the stored beta-grading consistent
     def u(self, i: int, j: int) -> GeneratorSym:
@@ -216,8 +219,7 @@ def normal_form(raw: list[GeneratorSym] | tuple[GeneratorSym, ...],
 def _word_mul(context: AlgebraContext, a: Word, b: Word) -> tuple[Scalar, Word]:
     # (w1 z^p)(w2 z^q) = zeta^(-p*zdeg(w2)) w1 w2 z^(p+q)
     if a.zexp and b.letters:
-        zdeg = sum(context.zdeg(g) for g in b.letters)
-        phase = context.zeta_pow(-a.zexp * zdeg)
+        phase = context.zeta_pow(-a.zexp * context.word_zdeg(b.letters))
     else:
         phase = context.field.one()
     return phase, Word(a.zexp + b.zexp, a.letters + b.letters)
@@ -227,8 +229,7 @@ def _word_adjoint(context: AlgebraContext, w: Word) -> tuple[Scalar, Word]:
     # (w z^p)* = zeta^(-p*zdeg(w)) w* z^(-p)
     starred = tuple(g.star() for g in reversed(w.letters))
     if w.zexp and w.letters:
-        zdeg = sum(context.zdeg(g) for g in w.letters)
-        phase = context.zeta_pow(-w.zexp * zdeg)
+        phase = context.zeta_pow(-w.zexp * context.word_zdeg(w.letters))
     else:
         phase = context.field.one()
     return phase, Word(-w.zexp, starred)
@@ -659,30 +660,20 @@ class MembershipCertificate:
         """Reconstruct the certified element from the combination."""
         if self.verdict != "in_ideal":
             raise ValueError("only in_ideal certificates replay")
-        if legs == 0:
-            acc = AlgebraElement.zero(context)
-            for entry in self.combination:
-                rel = relations[entry.rel_index]
-                if entry.star:
-                    rel = rel.adjoint()
-                piece = (AlgebraElement.monomial(context, entry.left) * rel
-                         * AlgebraElement.monomial(context, entry.right))
-                acc = acc + piece.scale(entry.coeff)
-            return acc
-        acc = TensorElement.zero(context, legs)
-        one = AlgebraElement.one(context)
+        # generic products on purpose: replay checks the certifier's rows
+        # independently of how it built them
+        acc = AlgebraElement.zero(context) if legs == 0 else TensorElement.zero(context, legs)
         for entry in self.combination:
             rel = relations[entry.rel_index]
             if entry.star:
                 rel = rel.adjoint()
             piece = (AlgebraElement.monomial(context, entry.left) * rel
                      * AlgebraElement.monomial(context, entry.right))
-            other = AlgebraElement.monomial(context, entry.other)
-            if entry.leg == 1:
-                tns = TensorElement.tensor(piece, other)
-            else:
-                tns = TensorElement.tensor(other, piece)
-            acc = acc + tns.scale(entry.coeff)
+            if legs:
+                other = AlgebraElement.monomial(context, entry.other)
+                piece = (TensorElement.tensor(piece, other) if entry.leg == 1
+                         else TensorElement.tensor(other, piece))
+            acc = acc + piece.scale(entry.coeff)
         return acc
 
     def to_json(self) -> dict:
@@ -710,6 +701,9 @@ class IdealCertifier:
     Determinism: columns are words in canonical order, frontier words and
     the rows found for each are processed in canonical order, and the
     pivot is always the first nonzero column.
+
+    The certifier runs in one thread; ``workers`` is accepted for
+    compatibility and changes nothing.
     """
 
     def __init__(self, context: AlgebraContext, relations, degree_bound: int,
@@ -718,14 +712,19 @@ class IdealCertifier:
         self.relations = list(relations)
         self.degree_bound = degree_bound
         self.row_cap = row_cap
-        self.workers = max(1, workers)
         self.capped = False
 
-        base: list[tuple[int, bool, AlgebraElement, list[Word]]] = []
+        # (idx, star) -> terms (word, coeff, zdeg of the word's letters) of
+        # the relation or, for star, its adjoint
+        self._oriented: dict[tuple[int, bool], list[tuple[Word, Scalar, int]]] = {}
+        # (idx, star, words in canonical order, longest word, z-exponent range)
+        base: list[tuple[int, bool, list[Word], int, int, int]] = []
         seen_keys = set()
         for idx, rel in enumerate(self.relations):
             for star in (False, True):
                 elem = rel.adjoint() if star else rel
+                self._oriented[(idx, star)] = [(w, c, context.word_zdeg(w.letters))
+                                               for w, c in elem.terms.items()]
                 if elem.is_zero() or elem.max_word_length() > degree_bound:
                     continue
                 lead_coeff = elem.sorted_terms()[0][1]
@@ -735,7 +734,9 @@ class IdealCertifier:
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                base.append((idx, star, elem, [w for w, _ in elem.sorted_terms()]))
+                zexps = [w.zexp for w in elem.terms]
+                base.append((idx, star, [w for w, _ in elem.sorted_terms()],
+                             elem.max_word_length(), min(zexps), max(zexps)))
         self._base = base
 
         # pivots: word -> (vector, row_id, recipe); the recipe records the
@@ -750,15 +751,22 @@ class IdealCertifier:
     # row discovery --------------------------------------------------------
 
     def _rows_touching(self, word: Word) -> list[tuple[Word, int, bool, Word]]:
-        """All decorations (a, r, b) with a relation word of r dividing `word`."""
+        """All decorations (a, r, b) with a relation word of r dividing `word`
+        whose row stays within the word-length and |zexp| bound."""
+        D = self.degree_bound
         found = []
         letters = word.letters
-        for bi, (idx, star, _, term_words) in enumerate(self._base):
+        for bi, (idx, star, term_words, max_len, zexp_lo, zexp_hi) in enumerate(self._base):
             for u in term_words:
                 k = len(u.letters)
                 if k > len(letters):
                     continue
                 shift = word.zexp - u.zexp
+                # every decoration matching u pads r by len(letters) - k
+                # letters and shifts its z-exponents by `shift`
+                if (len(letters) - k + max_len > D
+                        or shift + zexp_lo < -D or shift + zexp_hi > D):
+                    continue
                 for pos in range(len(letters) - k + 1):
                     if letters[pos:pos + k] != u.letters:
                         continue
@@ -771,12 +779,24 @@ class IdealCertifier:
         found.sort(key=lambda d: (d[1], d[2], d[0].key(), d[3].key()))
         return found
 
-    def _expand_row(self, decoration):
+    def _expand_row(self, decoration) -> dict[Word, Scalar]:
+        """The terms of the decorated row a * r * b.
+
+        With a = la z^p and b = lb z^s, each term c * lw z^q of r becomes
+        c * zeta^e * la lw lb z^(p+q+s), e = -p*zdeg(lw) - (p+q)*zdeg(lb).
+        Multiplying by a monomial is injective on words, so no two terms
+        merge and no coefficient vanishes.
+        """
         left, idx, star, right = decoration
-        elem = self.relations[idx].adjoint() if star else self.relations[idx]
-        row = (AlgebraElement.monomial(self.context, left) * elem
-               * AlgebraElement.monomial(self.context, right))
-        return decoration, row
+        p, s = left.zexp, right.zexp
+        la, lb = left.letters, right.letters
+        right_zdeg = self.context.word_zdeg(lb)
+        zeta_pow = self.context.zeta_pow
+        row: dict[Word, Scalar] = {}
+        for w, c, w_zdeg in self._oriented[(idx, star)]:
+            e = -p * w_zdeg - (p + w.zexp) * right_zdeg
+            row[Word(p + w.zexp + s, la + w.letters + lb)] = c if e == 0 else c * zeta_pow(e)
+        return row
 
     def _ensure_closure(self, seeds) -> None:
         """Generate every spanning row in the component of the seed words."""
@@ -790,29 +810,17 @@ class IdealCertifier:
                 if word in self._processed:
                     continue
                 self._processed.add(word)
-                decorations = self._rows_touching(word)
-                if not decorations:
-                    continue
-                if self.workers > 1:
-                    with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                        expanded = list(pool.map(self._expand_row, decorations,
-                                                 chunksize=16))
-                else:
-                    expanded = [self._expand_row(d) for d in decorations]
-                for decoration, row in expanded:
-                    if row.is_zero():
-                        continue
-                    if row.max_word_length() > D or row.max_abs_zexp() > D:
-                        continue
+                for decoration in self._rows_touching(word):
+                    row = self._expand_row(decoration)
                     if len(self._decorations) >= self.row_cap:
                         self.capped = True
                         return
                     row_id = len(self._decorations)
                     self._decorations.append(decoration)
-                    for w in row.terms:
+                    for w in row:
                         if w not in self._processed:
                             discovered.add(w)
-                    self._insert(row.terms, row_id)
+                    self._insert(row, row_id)
             frontier = sorted(discovered - self._processed, key=Word.key)
 
     # elimination ---------------------------------------------------------
@@ -971,7 +979,11 @@ class IdealCertifier:
 
 def ideal_membership(target, relations, degree_bound: int, *,
                      row_cap: int = 2_000_000, workers: int = 1) -> MembershipCertificate:
-    """Certify membership of a target in the bounded two-sided relation span."""
+    """Certify membership of a target in the bounded two-sided relation span.
+
+    ``workers`` is accepted for compatibility; the certifier is
+    single-threaded and the certificate does not depend on it.
+    """
     context = target.context
     if isinstance(target, TensorElement):
         if target.max_leg_length() > degree_bound:
@@ -993,6 +1005,8 @@ def well_definedness_check(presentation, degree_bound: int, *,
     For each relation r the 2-leg image of r under the comultiplication is
     certified to lie in the ideal generated by the relations in either
     leg.  Undecided verdicts are reported, never turned into failures.
+    ``workers`` is accepted for compatibility and changes nothing: the
+    certifier is single-threaded.
     """
     context = presentation.context
     certifier = None

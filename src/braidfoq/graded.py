@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .scalar import Field, Matrix, Scalar, SingularMatrix, sqrt_fraction
+from .scalar import Field, Matrix, PhasePowers, Scalar, SingularMatrix, sqrt_fraction
 
 __all__ = [
     "GradedSpace",
@@ -43,6 +43,8 @@ class GradedSpace:
     degrees: tuple[int, ...]
     zeta: Scalar
     field: Field
+    # zeta_pow(e) == zeta^e, memoised per space
+    zeta_pow: PhasePowers = dataclass_field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or len(self.degrees) != self.n:
@@ -53,11 +55,7 @@ class GradedSpace:
             raise ValueError("zeta must live in the declared field")
         if not (self.zeta * self.zeta.conj()).is_one():
             raise ValueError("zeta must have modulus one")
-
-    def zeta_pow(self, exponent: int) -> Scalar:
-        if exponent >= 0:
-            return self.zeta ** exponent
-        return self.zeta.conj() ** (-exponent)
+        object.__setattr__(self, "zeta_pow", PhasePowers(self.zeta))
 
     def degree_indices(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}

@@ -17,6 +17,7 @@ __all__ = [
     "Field",
     "FieldMismatch",
     "Matrix",
+    "PhasePowers",
     "Scalar",
     "SingularMatrix",
     "sqrt_fraction",
@@ -133,7 +134,7 @@ def _table(order: int) -> _CycloTable:
 class Field:
     """Coefficient field specification: exact Q(zeta_N) or complex doubles."""
 
-    __slots__ = ("mode", "order", "tolerance", "_table", "_roots")
+    __slots__ = ("mode", "order", "tolerance", "_table", "_roots", "_zero", "_one")
 
     def __init__(self, mode: str, order: int | None = None, tolerance: float | None = None):
         if mode == "cyclo":
@@ -155,6 +156,9 @@ class Field:
             raise ValueError(f"unknown field mode {mode!r}")
         self.mode = mode
         self._roots: list[Scalar] | None = None
+        # scalars are immutable, so every caller can share these two
+        self._zero = self.from_rational(_FR0)
+        self._one = self.from_rational(_FR1)
 
     @classmethod
     def cyclotomic(cls, order: int) -> "Field":
@@ -194,10 +198,10 @@ class Field:
     # scalar constructors ------------------------------------------------
 
     def zero(self) -> "Scalar":
-        return self.from_rational(_FR0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.from_rational(_FR1)
+        return self._one
 
     def from_rational(self, value) -> "Scalar":
         q = Fraction(value)
@@ -533,6 +537,31 @@ class Scalar:
                 head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 terms.append(f"{head}z{n}^{i}" if i > 1 else f"{head}z{n}")
         return " + ".join(terms) if terms else "0"
+
+
+class PhasePowers:
+    """Integer powers of a modulus-one scalar, memoised by exponent.
+
+    A negative exponent is the power of the conjugate, which is the inverse
+    of a modulus-one scalar.  The memo is keyed by the integer exponent, so
+    it works for approx scalars too, which are not hashable.
+    """
+
+    __slots__ = ("base", "_powers")
+
+    def __init__(self, base: Scalar):
+        self.base = base
+        self._powers: dict[int, Scalar] = {}
+
+    def __call__(self, exponent: int) -> Scalar:
+        power = self._powers.get(exponent)
+        if power is None:
+            if exponent >= 0:
+                power = self.base ** exponent
+            else:
+                power = self.base.conj() ** (-exponent)
+            self._powers[exponent] = power
+        return power
 
 
 def sqrt_fraction(value: Fraction) -> Fraction | None:

@@ -32,7 +32,9 @@ class RunConfig:
     """Knobs for the battery; the seed is recorded in every report.
 
     ``field`` optionally pins the cyclotomic order of every randomized
-    instance; the default mixes orders 8, 12 and 24.
+    instance; the default mixes orders 8, 12 and 24.  ``workers`` is
+    passed on to the certifier, which is single-threaded and ignores it;
+    the report does not depend on it.
     """
 
     seed: int = 42

@@ -158,3 +158,54 @@ def test_row_cap_environment_override(e1_file, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("BRAIDFOQ_ROW_CAP", "5")
     assert main(["verify", "--check", "welldef", "--bound", "3", str(pres)]) == 3
+
+
+def _exit_code(argv):
+    """main's return value, or the exit code of an argparse usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture()
+def boson_file(e1_file, tmp_path, capsys):
+    path = tmp_path / "boson.json"
+    main(["present", "--target", "boson", e1_file, "--out", str(path)])
+    capsys.readouterr()
+    return str(path)
+
+
+def test_row_cap_environment_must_be_an_integer(boson_file, capsys, monkeypatch):
+    monkeypatch.setenv("BRAIDFOQ_ROW_CAP", "abc")
+    assert _exit_code(["verify", "--check", "welldef", "--bound", "3", boson_file]) == 2
+    assert "BRAIDFOQ_ROW_CAP" in capsys.readouterr().err
+
+
+def test_negative_row_cap_is_usage_error(boson_file, capsys):
+    assert _exit_code(["verify", "--check", "welldef", "--row-cap", "-5", boson_file]) == 2
+
+
+def test_negative_bound_is_usage_error(boson_file, capsys):
+    assert _exit_code(["verify", "--check", "welldef", "--bound", "-1", boson_file]) == 2
+
+
+def test_malformed_fuse_label_is_usage_error(capsys):
+    assert _exit_code(["fuse", "--a", "1", "--b", "1,0", "--parity", "even"]) == 2
+
+
+def test_unknown_field_spec_is_usage_error(capsys):
+    assert _exit_code(["suite", "--field", "xx:8"]) == 2
+
+
+def test_suite_bound_below_two_is_usage_error(capsys):
+    assert _exit_code(["suite", "--bound", "1"]) == 2
+
+
+def test_instance_without_field_is_usage_error(tmp_path, capsys):
+    data = fixture_e1().to_json()
+    del data["field"]
+    path = tmp_path / "nofield.json"
+    path.write_text(json.dumps(data))
+    assert _exit_code(["validate", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

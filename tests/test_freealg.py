@@ -444,3 +444,91 @@ def test_tensor_membership_matches_brute_force_oracle(e1):
             members += 1
             assert verdict.replay(relations, ctx, legs=2) == target
     assert members >= 3
+
+
+# -- decoration fast path --------------------------------------------------------
+
+
+def test_context_rejects_zeta_off_the_unit_circle(f8):
+    from braidfoq.freealg import AlgebraContext
+
+    # with |zeta| != 1 the rewriting would not be associative
+    with pytest.raises(ValueError):
+        AlgebraContext(field=f8, zeta=f8.from_int(2), degrees=(0, 1))
+
+
+def _approx_image(ctx, relations):
+    """The same context and relations over complex doubles."""
+    from braidfoq import Field
+    from braidfoq.freealg import AlgebraContext
+
+    approx = Field.approx(1e-9)
+    actx = AlgebraContext(field=approx, zeta=approx.from_complex(ctx.zeta.to_complex()),
+                          degrees=ctx.degrees)
+    return actx, [AlgebraElement(actx, {w: approx.from_complex(c.to_complex())
+                                        for w, c in rel.terms.items()})
+                  for rel in relations]
+
+
+@pytest.fixture(scope="module")
+def decoration_cases(e1, e2):
+    """Per context: a certifier over its relations and the letters they use."""
+    from braidfoq.freealg import IdealCertifier
+
+    cases = {}
+    for name, presentation in (("e1_boson", bosonisation_presentation(e1)),
+                               ("e2_boson", bosonisation_presentation(e2)),
+                               ("e1_tform", t_form_presentation(e1))):
+        cases[name] = presentation.context, list(presentation.relations)
+    cases["e1_boson_approx"] = _approx_image(*cases["e1_boson"])
+    out = {}
+    for name, (ctx, relations) in cases.items():
+        letters = {g for rel in relations for w in rel.terms for g in w.letters}
+        out[name] = (IdealCertifier(ctx, relations, 8),
+                     sorted(letters, key=GeneratorSym.key))
+    return out
+
+
+@pytest.mark.parametrize("case", ["e1_boson", "e2_boson", "e1_tform", "e1_boson_approx"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fast_path_row_equals_generic_product(decoration_cases, case, data):
+    certifier, alphabet = decoration_cases[case]
+    ctx = certifier.context
+
+    def word():
+        letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=3))
+        return Word(data.draw(st.sampled_from((-2, -1, 1, 2))), tuple(letters))
+
+    idx = data.draw(st.integers(0, len(certifier.relations) - 1))
+    star = data.draw(st.booleans())
+    left, right = word(), word()
+    row = certifier._expand_row((left, idx, star, right))
+    rel = certifier.relations[idx]
+    rel = rel.adjoint() if star else rel
+    expected = (AlgebraElement.monomial(ctx, left) * rel
+                * AlgebraElement.monomial(ctx, right))
+    # monomial multiplication is injective: no terms merge or vanish
+    assert len(row) == len(rel.terms)
+    assert AlgebraElement(ctx, row) == expected
+
+
+@pytest.mark.parametrize("fixture, label", [("e1", "welldef_e1_boson_b3_s"),
+                                            ("e2", "welldef_e2_boson_b3_s")])
+def test_bound3_certificates_match_recorded_bytes(request, fixture, label):
+    import hashlib
+    import json
+    from pathlib import Path
+
+    from braidfoq import deserialize_presentation, serialize_presentation
+
+    recorded_path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    recorded = json.loads(recorded_path.read_text())["certify"][label]
+    built = bosonisation_presentation(request.getfixturevalue(fixture))
+    presentation = deserialize_presentation(serialize_presentation(built) + "\n")
+    report = well_definedness_check(presentation, 3)
+    assert {r["relation"]: r["verdict"] for r in report["relations"]} == recorded["verdicts"]
+    payload = [{"relation": r["relation"], "certificate": r["certificate"].to_json()}
+               for r in report["relations"]]
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == recorded["cert_sha256"]
