@@ -79,8 +79,9 @@ def _emit(report: dict, out_path: str | None) -> None:
             handle.write(text + "\n")
 
 
-# what a JSON document of the wrong shape raises inside the from_json readers
-_SCHEMA_ERRORS = (KeyError, IndexError, TypeError, AttributeError)
+# what a JSON document of the wrong shape raises inside the from_json readers;
+# OverflowError is int() of an Infinity where an integer belongs
+_SCHEMA_ERRORS = (KeyError, IndexError, TypeError, AttributeError, OverflowError)
 
 
 def _load_omega(path: str) -> OmegaData:

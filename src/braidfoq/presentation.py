@@ -43,7 +43,8 @@ class Presentation:
     meta: OmegaData | None = dataclass_field(default=None, compare=False)
 
     def __post_init__(self):
-        assert len(self.relations) == len(self.relation_labels)
+        if len(self.relations) != len(self.relation_labels):
+            raise ValueError("every relation needs exactly one label")
         for rel in self.relations:
             if rel.beta_degree() is None and not rel.is_zero():
                 raise ValueError("every relation must be homogeneous for the grading")
@@ -463,8 +464,21 @@ def deserialize_presentation(text: str) -> Presentation:
         if gen is None:
             raise ValueError(f"comultiplication names unknown generator {key!r}")
         comult[gen] = TensorElement.from_json(img, context)
+    letters = list(generators)
+    for rel in relations:
+        for word in rel.terms:
+            letters.extend(word.letters)
+    for img in comult.values():
+        for legs in img.terms:
+            for word in legs:
+                letters.extend(word.letters)
+    for g in letters:
+        if g.kind != "Z" and max(g.i, g.j) >= context.n:
+            raise ValueError(f"generator {g.display()} is out of range for n = {context.n}")
+    labels = tuple(data["relation_labels"])
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError("relation labels must be strings")
     meta = None if data.get("meta") is None else OmegaData.from_json(data["meta"])
     return Presentation(name=data["name"], context=context, generators=generators,
-                        relations=relations,
-                        relation_labels=tuple(data["relation_labels"]),
+                        relations=relations, relation_labels=labels,
                         comult=comult, meta=meta)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graded import GradedSpace, OmegaData, solve_omega, validate
+from .graded import GradedSpace, OmegaData, _default_c, solve_omega, validate
 from .scalar import Field, Matrix, Scalar
 
 __all__ = [
@@ -91,17 +91,7 @@ def random_valid_instance(rng: random.Random, n: int | None = None,
     space = GradedSpace(n=n, degrees=degrees, zeta=zeta, field=field)
 
     free_blocks = {a: random_invertible_matrix(rng, field, k) for a, k in sizes.items()}
-    if d % 2 == 0:
-        c = space.zeta_pow(-(d * d) // 2)
-    else:
-        t = space.zeta_pow(d * d)
-        if t.is_one():
-            c = field.one()
-        else:
-            c = field.one() + t.conj()
-            if c.is_zero():
-                z1 = field.root(1)
-                c = z1 - z1.conj()
+    c = _default_c(space, d)
     if scale_c:
         c = c * field.from_rational(rng.choice([Fraction(1), Fraction(1), Fraction(4, 9),
                                                 Fraction(9, 4), Fraction(1, 4)]))

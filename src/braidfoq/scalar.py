@@ -1,9 +1,11 @@
 """Exact cyclotomic scalars, a floating complex fallback, and exact matrices.
 
-Exact scalars live in Q(zeta_N), stored as coefficient vectors of length
-phi(N) reduced modulo the N-th cyclotomic polynomial, so equality is a
-vector comparison.  The approx mode stores a complex double and compares
-with an absolute tolerance.
+Exact scalars live in Q(zeta_N).  Each is a tuple of integer numerators,
+one per power-basis coordinate (reduced modulo the N-th cyclotomic
+polynomial), over one shared positive denominator.  The pair is kept
+normalised, gcd(den, *num) == 1 and zero is 0/1, so equality is a tuple
+comparison.  The approx mode stores a complex double and compares with an
+absolute tolerance.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import cmath
 import math
 import threading
 from fractions import Fraction
+from operator import add as _add, neg as _neg, sub as _sub
 
 __all__ = [
     "Field",
@@ -24,9 +27,6 @@ __all__ = [
 ]
 
 MAX_CYCLOTOMIC_ORDER = 1 << 16
-
-_FR0 = Fraction(0)
-_FR1 = Fraction(1)
 
 
 class FieldMismatch(ValueError):
@@ -72,6 +72,42 @@ def cyclotomic_polynomial(order: int) -> list[int]:
     return num
 
 
+def _trim(poly: list[int]) -> list[int]:
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _poly_inverse(num, modulus: list[int]) -> tuple[list[int], int]:
+    """(s, c) with s * num == c modulo `modulus`, c a nonzero integer.
+
+    Extended Euclid by pseudo-division over the integers.  Every remainder
+    row (r, s) keeps s * num == r modulo `modulus` and is divided by its
+    content after each division, which bounds coefficient growth.
+    """
+    r0, s0 = list(modulus), []
+    r1, s1 = _trim(list(num)), [1]
+    while len(r1) > 1:
+        lead, width = r1[-1], len(r1)
+        while len(r0) >= width:
+            c, shift = r0[-1], len(r0) - width
+            r0 = [lead * x for x in r0]
+            s0 = [lead * x for x in s0] + [0] * (shift + len(s1) - len(s0))
+            for i, x in enumerate(r1):
+                r0[shift + i] -= c * x
+            for i, x in enumerate(s1):
+                s0[shift + i] -= c * x
+            _trim(r0)
+        if not r0:
+            raise ZeroDivisionError("scalar is not invertible")
+        g = math.gcd(*r0, *s0)
+        if g != 1:
+            r0 = [x // g for x in r0]
+            s0 = [x // g for x in s0]
+        r0, s0, r1, s1 = r1, s1, r0, _trim(s0)
+    return s1, r1[0]
+
+
 class _CycloTable:
     """Per-order reduction data shared by all scalars of one field.
 
@@ -84,6 +120,7 @@ class _CycloTable:
         poly = cyclotomic_polynomial(order)
         self.degree = len(poly) - 1
         self.poly = poly
+        self.zero = (0,) * self.degree
         # x^k mod Phi_order for k = 0, 1, ...; extended lazily
         self._powers: list[tuple[int, ...]] = []
         for k in range(self.degree):
@@ -91,7 +128,8 @@ class _CycloTable:
             vec[k] = 1
             self._powers.append(tuple(vec))
         self._lock = threading.Lock()
-        self._conj: list[tuple[int, ...]] | None = None
+        # k mod order -> the nonzero (coordinate, value) pairs of x^k
+        self._sparse: dict[int, tuple[tuple[int, int], ...]] = {}
         self._basis_values: list[complex] | None = None
 
     def power(self, k: int) -> tuple[int, ...]:
@@ -108,10 +146,13 @@ class _CycloTable:
                     self._powers.append(tuple(shifted))
         return self._powers[k]
 
-    def conj_basis(self) -> list[tuple[int, ...]]:
-        if self._conj is None:
-            self._conj = [self.power((self.order - i) % self.order) for i in range(self.degree)]
-        return self._conj
+    def sparse_power(self, k: int) -> tuple[tuple[int, int], ...]:
+        k %= self.order
+        row = self._sparse.get(k)
+        if row is None:
+            row = tuple((m, r) for m, r in enumerate(self.power(k)) if r)
+            self._sparse[k] = row
+        return row
 
     def basis_values(self) -> list[complex]:
         if self._basis_values is None:
@@ -157,8 +198,8 @@ class Field:
         self.mode = mode
         self._roots: list[Scalar] | None = None
         # scalars are immutable, so every caller can share these two
-        self._zero = self.from_rational(_FR0)
-        self._one = self.from_rational(_FR1)
+        self._zero = self.from_rational(0)
+        self._one = self.from_rational(1)
 
     @classmethod
     def cyclotomic(cls, order: int) -> "Field":
@@ -206,19 +247,16 @@ class Field:
     def from_rational(self, value) -> "Scalar":
         q = Fraction(value)
         if self.exact:
-            coeffs = [_FR0] * self.degree
-            coeffs[0] = q
-            return Scalar(self, coeffs=tuple(coeffs))
+            return Scalar(self, (q.numerator,) + self._table.zero[1:], q.denominator)
         return Scalar(self, value=complex(q))
 
     def from_int(self, value: int) -> "Scalar":
-        return self.from_rational(Fraction(value))
+        return self.from_rational(value)
 
     def root(self, exponent: int = 1) -> "Scalar":
         """The root of unity zeta_N^exponent (exact) or its complex value."""
         if self.exact:
-            vec = self._table.power(exponent % self.order)
-            return Scalar(self, coeffs=tuple(Fraction(c) for c in vec))
+            return Scalar(self, self._table.power(exponent))
         # approx fields have no distinguished order; default to the unit
         raise ValueError("root() requires an exact field; use from_complex")
 
@@ -228,12 +266,14 @@ class Field:
         return Scalar(self, value=complex(value))
 
     def from_coeffs(self, coeffs) -> "Scalar":
+        """The exact scalar with these rational power-basis coordinates."""
         if not self.exact:
             raise ValueError("from_coeffs() requires an exact field")
         vec = [Fraction(c) for c in coeffs]
         if len(vec) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients, got {len(vec)}")
-        return Scalar(self, coeffs=tuple(vec))
+        den = math.lcm(*(q.denominator for q in vec))
+        return Scalar(self, tuple(q.numerator * (den // q.denominator) for q in vec), den)
 
     def _all_roots(self) -> list["Scalar"]:
         if self._roots is None:
@@ -257,79 +297,118 @@ class Field:
         raise ValueError(f"unknown field mode {mode!r}")
 
 
+def _normalised(field: Field, num: tuple[int, ...], den: int) -> "Scalar":
+    """The exact scalar num/den, den > 0, with common factors divided out."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([n // g for n in num])
+            den //= g
+    return Scalar(field, num, den)
+
+
 class Scalar:
-    """Immutable field element; exact coefficient vector or complex double."""
+    """Immutable field element: exact numerators over one denominator, or a
+    complex double.
 
-    __slots__ = ("field", "coeffs", "value")
+    An exact scalar has ``num``, a tuple of ``field.degree`` integers, and
+    ``den``, a positive integer with gcd(den, *num) == 1; zero is 0/1.  An
+    approx scalar has ``value`` and ``num is None``.
+    """
 
-    def __init__(self, field: Field, coeffs: tuple[Fraction, ...] | None = None,
+    __slots__ = ("field", "num", "den", "value")
+
+    def __init__(self, field: Field, num: tuple[int, ...] | None = None, den: int = 1,
                  value: complex | None = None):
         self.field = field
-        if field.exact:
-            assert coeffs is not None and value is None
-            self.coeffs = coeffs
-            self.value = None
-        else:
-            assert value is not None and coeffs is None
-            self.coeffs = None
-            self.value = value
+        self.num = num
+        self.den = den
+        self.value = value
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...] | None:
+        """The exact power-basis coordinates as Fractions (None when approx)."""
+        if self.num is None:
+            return None
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     # helpers --------------------------------------------------------
 
     def _check(self, other: "Scalar") -> None:
         if not isinstance(other, Scalar):
             raise FieldMismatch(f"expected Scalar, got {type(other).__name__}")
-        if self.field != other.field:
+        if other.field is not self.field and self.field != other.field:
             raise FieldMismatch(f"field mismatch: {self.field} vs {other.field}")
 
     def is_zero(self) -> bool:
-        if self.field.exact:
-            return all(c == 0 for c in self.coeffs)
+        if self.num is not None:
+            return not any(self.num)
         return abs(self.value) <= self.field.tolerance
 
     def is_one(self) -> bool:
+        if self.num is not None:
+            return self.den == 1 and self.num == self.field._one.num
         return (self - self.field.one()).is_zero()
 
     # arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        if self.field.exact:
-            return Scalar(self.field, coeffs=tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        return Scalar(self.field, value=self.value + other.value)
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            self._check(other)
+        num = self.num
+        if num is None:
+            return Scalar(field, value=self.value + other.value)
+        den, oden = self.den, other.den
+        if den == oden:
+            num = tuple(map(_add, num, other.num))
+            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
+        return _normalised(field, tuple([a * oden + b * den for a, b in zip(num, other.num)]),
+                           den * oden)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        if self.field.exact:
-            return Scalar(self.field, coeffs=tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-        return Scalar(self.field, value=self.value - other.value)
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            self._check(other)
+        num = self.num
+        if num is None:
+            return Scalar(field, value=self.value - other.value)
+        den, oden = self.den, other.den
+        if den == oden:
+            num = tuple(map(_sub, num, other.num))
+            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
+        return _normalised(field, tuple([a * oden - b * den for a, b in zip(num, other.num)]),
+                           den * oden)
 
     def __neg__(self) -> "Scalar":
-        if self.field.exact:
-            return Scalar(self.field, coeffs=tuple(-a for a in self.coeffs))
+        if self.num is not None:
+            return Scalar(self.field, tuple(map(_neg, self.num)), self.den)
         return Scalar(self.field, value=-self.value)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        if not self.field.exact:
-            return Scalar(self.field, value=self.value * other.value)
-        deg = self.field.degree
-        table = self.field._table
-        nz_a = [(i, a) for i, a in enumerate(self.coeffs) if a]
-        nz_b = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        acc = [_FR0] * deg
-        for i, a in nz_a:
-            for j, b in nz_b:
-                k = i + j
-                prod = a * b
-                if k < deg:
-                    acc[k] += prod
-                else:
-                    red = table.power(k)
-                    for m, r in enumerate(red):
-                        if r:
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            self._check(other)
+        if self.num is None:
+            return Scalar(field, value=self.value * other.value)
+        # integer convolution; x^k for k >= degree is reduced mod Phi_N
+        table = field._table
+        deg = table.degree
+        acc = [0] * deg
+        terms = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in terms:
+                    k = i + j
+                    if k < deg:
+                        acc[k] += a * b
+                    else:
+                        prod = a * b
+                        for m, r in table.sparse_power(k):
                             acc[m] += prod * r
-        return Scalar(self.field, coeffs=tuple(acc))
+        den = self.den * other.den
+        return Scalar(field, tuple(acc)) if den == 1 else _normalised(field, tuple(acc), den)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -347,85 +426,60 @@ class Scalar:
             e >>= 1
         return result
 
-    def conj(self) -> "Scalar":
-        if not self.field.exact:
-            return Scalar(self.field, value=self.value.conjugate())
-        deg = self.field.degree
-        images = self.field._table.conj_basis()
-        acc = [_FR0] * deg
-        for i, a in enumerate(self.coeffs):
+    def _apply_powers(self, field: Field, step: int) -> "Scalar":
+        # the image of x^i is x^(i*step) in `field`
+        table = field._table
+        acc = [0] * table.degree
+        for i, a in enumerate(self.num):
             if a:
-                img = images[i]
-                for m, r in enumerate(img):
-                    if r:
-                        acc[m] += a * r
-        return Scalar(self.field, coeffs=tuple(acc))
+                for m, r in table.sparse_power(i * step):
+                    acc[m] += a * r
+        return _normalised(field, tuple(acc), self.den)
+
+    def conj(self) -> "Scalar":
+        if self.num is None:
+            return Scalar(self.field, value=self.value.conjugate())
+        return self._apply_powers(self.field, -1)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("scalar inverse of zero")
-        if not self.field.exact:
-            return Scalar(self.field, value=1.0 / self.value)
-        # extended Euclid in Q[x] against Phi_N
-        modulus = [Fraction(c) for c in self.field._table.poly]
-        r0, r1 = modulus, list(self.coeffs)
-        s0, s1 = [_FR0], [_FR1]
-
-        def _trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        r0, r1 = _trim(r0), _trim(r1)
-        while len(r1) > 1 or (len(r1) == 1 and r1[0] != 0):
-            if len(r1) == 1:
-                break
-            if len(r0) < len(r1):
-                r0, r1 = r1, r0
-                s0, s1 = s1, s0
-                continue
-            # one division step
-            q = [_FR0] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for k in range(len(q) - 1, -1, -1):
-                c = rem[k + len(r1) - 1] / r1[-1]
-                q[k] = c
-                if c:
-                    for i, d in enumerate(r1):
-                        rem[k + i] -= c * d
-            rem = _trim(rem)
-            # new s = s0 - q*s1
-            prod = [_FR0] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] += qi * sj
-            new_s = [_FR0] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(prod):
-                new_s[i] -= c
-            r0, r1 = r1, rem
-            s0, s1 = s1, _trim(new_s) or [_FR0]
-        if not r1 or r1[0] == 0:
-            raise ZeroDivisionError("scalar is not invertible")
-        unit = r1[0]
-        inv = [c / unit for c in s1]
-        inv += [_FR0] * (self.field.degree - len(inv))
-        # reduce defensively (inv may have full degree already)
-        out = self.field.from_coeffs(inv[: self.field.degree])
-        return out
+        field = self.field
+        num = self.num
+        if num is None:
+            return Scalar(field, value=1.0 / self.value)
+        table = field._table
+        den = self.den
+        support = [i for i, a in enumerate(num) if a]
+        if len(support) == 1:
+            # (a/den) x^k has inverse (den/a) x^(N-k); gcd(a, den) == 1 and
+            # x^(N-k) is a unit, so the result is already normalised
+            k = support[0]
+            a = num[k]
+            if a < 0:
+                a, den = -a, -den
+            return Scalar(field, tuple([den * c for c in table.power(-k)]), a)
+        inv, unit = _poly_inverse(num, table.poly)
+        # num * inv == unit, so (num/den)^-1 = den * inv / unit
+        if unit < 0:
+            unit, den = -unit, -den
+        inv = [den * c for c in inv] + [0] * (table.degree - len(inv))
+        return _normalised(field, tuple(inv), unit)
 
     # predicates and conversions --------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar) or self.field != other.field:
-            return NotImplemented if not isinstance(other, Scalar) else False
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        if other.field is not self.field and self.field != other.field:
+            return False
+        if self.num is not None:
+            return self.num == other.num and self.den == other.den
         return (self - other).is_zero()
 
     def __hash__(self) -> int:
-        if self.field.exact:
-            return hash((self.field, self.coeffs))
+        if self.num is not None:
+            return hash((self.field.order, self.num, self.den))
         raise TypeError("approx scalars are not hashable")
 
     def is_real(self) -> bool:
@@ -433,15 +487,13 @@ class Scalar:
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction when it is rational, else None."""
-        if not self.field.exact:
+        if self.num is None or any(self.num[1:]):
             return None
-        if any(c != 0 for c in self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def as_root_exponent(self) -> int | None:
         """k with self == zeta_N^k, or None when not a root of unity."""
-        if not self.field.exact:
+        if self.num is None:
             return None
         for k, root in enumerate(self.field._all_roots()):
             if self == root:
@@ -452,10 +504,11 @@ class Scalar:
         return self * self.conj()
 
     def to_complex(self) -> complex:
-        if not self.field.exact:
+        if self.num is None:
             return self.value
         basis = self.field._table.basis_values()
-        return sum((float(a) * b for a, b in zip(self.coeffs, basis)), 0j)
+        den = self.den
+        return sum(((a / den) * b for a, b in zip(self.num, basis)), 0j)
 
     def real_sign(self) -> int:
         """Sign of a real scalar; exact for rationals, numeric otherwise."""
@@ -482,26 +535,18 @@ class Scalar:
         if field.order % self.field.order != 0:
             raise ValueError(
                 f"target order {field.order} is not a multiple of {self.field.order}")
-        step = field.order // self.field.order
-        table = field._table
-        acc = [_FR0] * field.degree
-        for i, a in enumerate(self.coeffs):
-            if a:
-                img = table.power(i * step)
-                for m, r in enumerate(img):
-                    if r:
-                        acc[m] += a * r
-        return Scalar(field, coeffs=tuple(acc))
+        return self._apply_powers(field, field.order // self.field.order)
 
     # serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.field.exact:
-            return {
-                "kind": "cyclo",
-                "order": self.field.order,
-                "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
-            }
+        if self.num is not None:
+            den = self.den
+            coeffs = []
+            for n in self.num:
+                g = math.gcd(n, den)
+                coeffs.append([str(n // g), str(den // g)])
+            return {"kind": "cyclo", "order": self.field.order, "coeffs": coeffs}
         return {"kind": "float", "re": self.value.real, "im": self.value.imag}
 
     @classmethod
@@ -524,7 +569,7 @@ class Scalar:
         raise ValueError(f"unknown scalar kind {kind!r}")
 
     def __repr__(self) -> str:
-        if not self.field.exact:
+        if self.num is None:
             return f"Scalar({self.value!r})"
         n = self.field.order
         terms = []

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidfoq import bosonisation_presentation, serialize_presentation, t_form_presentation
 from braidfoq.cli import main
 from braidfoq.suite import fixture_e1, fixture_e2
 
@@ -209,3 +215,71 @@ def test_instance_without_field_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert _exit_code(["validate", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# -- fuzz: mutated documents keep the exit-code contract ---------------------
+
+_INSTANCE_DOCS = [fixture_e1().to_json(), fixture_e2().to_json()]
+_PRESENTATION_DOCS = [json.loads(serialize_presentation(build(fixture_e1())))
+                      for build in (bosonisation_presentation, t_form_presentation)]
+
+_json_values = st.recursive(
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e300, 10 ** 30, -1, 0, 1,
+                     2, 2 ** 16, True, None, "x", "", "-7", "1/0", "1" + "0" * 400, [], {}])
+    | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def _mutated(draw, docs):
+    """A document with one to six nodes deleted or replaced by arbitrary JSON."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
+    for _ in range(draw(st.integers(1, 6))):
+        # walk down from the root, stopping below it at each level with even odds
+        parent, key, node = None, None, doc
+        while (isinstance(node, (dict, list)) and node
+               and (parent is None or draw(st.booleans()))):
+            parent = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = node[key]
+        if parent is None:
+            continue
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_json_values)
+    return doc
+
+
+def _run_on_document(argv, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = _exit_code(argv + [path])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([["validate"], ["irreducible"], ["trivrel"], ["reduce"], ["cover"],
+                        ["qparam"], ["shift", "--s", "1"], ["present", "--target", "boson"],
+                        ["present", "--target", "tform"], ["present", "--target", "braided"],
+                        ["present", "--target", "aof"]]),
+       _mutated(_INSTANCE_DOCS))
+def test_fuzzed_instance_documents_keep_the_exit_contract(argv, doc):
+    _run_on_document(argv, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([["verify", "--check", "coassoc"],
+                        ["verify", "--check", "welldef", "--bound", "2"],
+                        ["verify", "--check", "intertwiner"]]),
+       _mutated(_PRESENTATION_DOCS))
+def test_fuzzed_presentation_documents_keep_the_exit_contract(argv, doc):
+    _run_on_document(argv, doc)

@@ -514,7 +514,8 @@ def test_fast_path_row_equals_generic_product(decoration_cases, case, data):
 
 
 @pytest.mark.parametrize("fixture, label", [("e1", "welldef_e1_boson_b3_s"),
-                                            ("e2", "welldef_e2_boson_b3_s")])
+                                            ("e2", "welldef_e2_boson_b3_s"),
+                                            ("e1", "welldef_e1_tform_b3_s")])
 def test_bound3_certificates_match_recorded_bytes(request, fixture, label):
     import hashlib
     import json
@@ -524,7 +525,8 @@ def test_bound3_certificates_match_recorded_bytes(request, fixture, label):
 
     recorded_path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
     recorded = json.loads(recorded_path.read_text())["certify"][label]
-    built = bosonisation_presentation(request.getfixturevalue(fixture))
+    present = t_form_presentation if "_tform_" in label else bosonisation_presentation
+    built = present(request.getfixturevalue(fixture))
     presentation = deserialize_presentation(serialize_presentation(built) + "\n")
     report = well_definedness_check(presentation, 3)
     assert {r["relation"]: r["verdict"] for r in report["relations"]} == recorded["verdicts"]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -167,3 +168,110 @@ def test_approx_singular_matrix():
     m = Matrix(field, [[one, one], [one, one]])
     with pytest.raises(SingularMatrix):
         m.inverse()
+
+
+# -- the exact kernel against an independent Fraction reference --------------
+
+# Phi_N as {exponent: coefficient}, written out here rather than taken from
+# the library; 48 and 120 are the embedding targets of 24 and 60
+_CYCLOTOMIC = {
+    8: {0: 1, 4: 1},
+    12: {0: 1, 2: -1, 4: 1},
+    24: {0: 1, 4: -1, 8: 1},
+    48: {0: 1, 8: -1, 16: 1},
+    60: {0: 1, 2: 1, 6: -1, 8: -1, 10: -1, 14: 1, 16: 1},
+    120: {0: 1, 4: 1, 12: -1, 16: -1, 20: -1, 28: 1, 32: 1},
+}
+_EMBED_TARGET = {8: 24, 12: 60, 24: 48, 60: 120}
+
+
+def _ref_reduce(vec, order):
+    """Reduce a Fraction coefficient list modulo the monic Phi_order."""
+    poly = _CYCLOTOMIC[order]
+    deg = max(poly)
+    vec = list(vec) + [Fraction(0)] * (deg - len(vec))
+    for k in range(len(vec) - 1, deg - 1, -1):
+        c = vec[k]
+        if c:
+            for e, p in poly.items():
+                vec[k - deg + e] -= c * p
+    return vec[:deg]
+
+
+def _ref_mul(a, b, order):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, order)
+
+
+def _ref_substitute(a, step, target):
+    """The image of sum a_i x^i under x^i -> x^(i * step) in Q(zeta_target)."""
+    out = [Fraction(0)] * max(_CYCLOTOMIC[target])
+    for i, c in enumerate(a):
+        image = _ref_reduce([Fraction(0)] * ((i * step) % target) + [Fraction(1)], target)
+        out = [o + c * m for o, m in zip(out, image)]
+    return out
+
+
+_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def _operand(draw, order):
+    """Reference coordinates: (p/q) zeta^k, or a dense vector whose
+    coordinates have mixed denominators."""
+    deg = max(_CYCLOTOMIC[order])
+    if draw(st.booleans()):
+        c, k = draw(_fractions), draw(st.integers(0, order - 1))
+        return [c * r for r in _ref_reduce([Fraction(0)] * k + [Fraction(1)], order)]
+    return draw(st.lists(st.one_of(st.just(Fraction(0)), _fractions),
+                         min_size=deg, max_size=deg))
+
+
+def _assert_normalised(s):
+    assert len(s.num) == s.field.degree
+    assert s.den > 0 and math.gcd(s.den, *s.num) == 1
+    if not any(s.num):
+        assert s.den == 1
+
+
+def _assert_matches(got, expected):
+    assert list(got.coeffs) == expected
+    _assert_normalised(got)
+    same = got.field.from_coeffs(expected)
+    assert got == same and hash(got) == hash(same)
+    data = got.to_json()
+    assert data["coeffs"] == [[str(q.numerator), str(q.denominator)] for q in expected]
+    assert Scalar.from_json(data) == got
+    assert Scalar.from_json(data, got.field) == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_kernel_matches_fraction_reference(data):
+    order = data.draw(st.sampled_from((8, 12, 24, 60)))
+    field = Field.cyclotomic(order)
+    ra, rb = data.draw(_operand(order)), data.draw(_operand(order))
+    a, b = field.from_coeffs(ra), field.from_coeffs(rb)
+    _assert_matches(a, ra)
+    _assert_matches(a + b, [x + y for x, y in zip(ra, rb)])
+    _assert_matches(a - b, [x - y for x, y in zip(ra, rb)])
+    _assert_matches(-a, [-x for x in ra])
+    _assert_matches(a * b, _ref_mul(ra, rb, order))
+    _assert_matches(a.conj(), _ref_substitute(ra, -1, order))
+    target = _EMBED_TARGET[order]
+    _assert_matches(a.embed_into(Field.cyclotomic(target)),
+                    _ref_substitute(ra, target // order, target))
+    # equal values reached along different paths hash alike
+    round_trip = (a + b) - b
+    assert round_trip == a and hash(round_trip) == hash(a)
+    if any(ra):
+        inv = a.inverse()
+        _assert_normalised(inv)
+        one = [Fraction(1)] + [Fraction(0)] * (field.degree - 1)
+        assert _ref_mul(ra, list(inv.coeffs), order) == one
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
