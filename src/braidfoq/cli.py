@@ -79,9 +79,12 @@ def _emit(report: dict, out_path: str | None) -> None:
             handle.write(text + "\n")
 
 
-# what a JSON document of the wrong shape raises inside the from_json readers;
-# OverflowError is int() of an Infinity where an integer belongs
-_SCHEMA_ERRORS = (KeyError, IndexError, TypeError, AttributeError, OverflowError)
+# what a malformed document raises while it is loaded: the wrong shape inside
+# the from_json readers, OverflowError for int() of an Infinity where an
+# integer belongs, ZeroDivisionError for a zero denominator, and ValueError for
+# a value the constructors reject; verdicts computed after loading keep exit 1
+_SCHEMA_ERRORS = (KeyError, IndexError, TypeError, AttributeError, OverflowError,
+                  ZeroDivisionError, ValueError)
 
 
 def _load_omega(path: str) -> OmegaData:

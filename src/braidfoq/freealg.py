@@ -18,6 +18,7 @@ Gaussian elimination.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field as dataclass_field
 
 from .scalar import Field, FieldMismatch, PhasePowers, Scalar
@@ -684,6 +685,11 @@ class MembershipCertificate:
         }
 
 
+# a letter's code in the certifier is its key's slot times _KEY_SLOTS plus its
+# place among the letters that differ from it only in grading
+_KEY_SLOTS = 1 << 16
+
+
 class IdealCertifier:
     """Row-reduced spanning set of bounded two-sided relation multiples.
 
@@ -698,9 +704,19 @@ class IdealCertifier:
     elimination decides exactly the same membership questions as the full
     spanning set.
 
+    Columns are interned words: a ``Word`` becomes the int tuple
+    ``(zexp, len, letter_codes)`` when a relation or target comes in, and
+    goes back to a ``Word`` only in certificate entries and residuals.
+    Letter codes are ordered as ``GeneratorSym.key()``, so the tuple order
+    of an interned word is ``Word.key()`` order, and hashing and comparing
+    columns never touches a dataclass.
+
     Determinism: columns are words in canonical order, frontier words and
     the rows found for each are processed in canonical order, and the
-    pivot is always the first nonzero column.
+    pivot is always the first nonzero column.  Reduction takes that column
+    from a heap of the vector's pivot words: the reduction word strictly
+    increases, so a popped word that has already cancelled is skipped and
+    a word is pushed only when it enters the vector with a pivot.
 
     The certifier runs in one thread; ``workers`` is accepted for
     compatibility and changes nothing.
@@ -714,72 +730,111 @@ class IdealCertifier:
         self.row_cap = row_cap
         self.capped = False
 
+        # letter interning: GeneratorSym -> code, code -> letter, code -> zdeg
+        self._codes: dict[GeneratorSym, int] = {}
+        self._letters: dict[int, GeneratorSym] = {}
+        self._zdeg: dict[int, int] = {}
+
         # (idx, star) -> terms (word, coeff, zdeg of the word's letters) of
         # the relation or, for star, its adjoint
-        self._oriented: dict[tuple[int, bool], list[tuple[Word, Scalar, int]]] = {}
+        self._oriented: dict[tuple[int, bool], list[tuple[tuple, Scalar, int]]] = {}
         # (idx, star, words in canonical order, longest word, z-exponent range)
-        base: list[tuple[int, bool, list[Word], int, int, int]] = []
+        base: list[tuple[int, bool, list[tuple], int, int, int]] = []
         seen_keys = set()
         for idx, rel in enumerate(self.relations):
             for star in (False, True):
                 elem = rel.adjoint() if star else rel
-                self._oriented[(idx, star)] = [(w, c, context.word_zdeg(w.letters))
-                                               for w, c in elem.terms.items()]
-                if elem.is_zero() or elem.max_word_length() > degree_bound:
+                terms = [(self._encode(w), c) for w, c in elem.terms.items()]
+                self._oriented[(idx, star)] = [(w, c, self._word_zdeg(w))
+                                               for w, c in terms]
+                if not terms or max(w[1] for w, _ in terms) > degree_bound:
                     continue
-                lead_coeff = elem.sorted_terms()[0][1]
-                normalized = elem.scale(lead_coeff.inverse())
-                key = tuple((w.key(), repr(c.to_json()))
-                            for w, c in normalized.sorted_terms())
+                terms.sort(key=lambda term: term[0])
+                inv = terms[0][1].inverse()
+                key = tuple((w, repr((inv * c).to_json())) for w, c in terms)
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                zexps = [w.zexp for w in elem.terms]
-                base.append((idx, star, [w for w, _ in elem.sorted_terms()],
-                             elem.max_word_length(), min(zexps), max(zexps)))
+                zexps = [w[0] for w, _ in terms]
+                base.append((idx, star, [w for w, _ in terms],
+                             max(w[1] for w, _ in terms), min(zexps), max(zexps)))
         self._base = base
 
         # pivots: word -> (vector, row_id, recipe); the recipe records the
         # immediate pivot hits consumed while reducing the inserted row, so
         # full row combinations are resolved lazily per certificate
-        self._pivots: dict[Word, tuple[dict[Word, Scalar], int, dict[Word, Scalar], Scalar]] = {}
-        self._combo_cache: dict[Word, dict[int, Scalar]] = {}
-        self._decorations: list[tuple[Word, int, bool, Word]] = []
-        self._processed: set[Word] = set()
+        self._pivots: dict[tuple, tuple[dict[tuple, Scalar], int, dict[tuple, Scalar], Scalar]] = {}
+        self._combo_cache: dict[tuple, dict[int, Scalar]] = {}
+        self._decorations: list[tuple[tuple, int, bool, tuple]] = []
+        self._processed: set[tuple] = set()
         self._seen_rows: set[tuple] = set()
+
+    # interned words -------------------------------------------------------
+
+    def _letter_code(self, letter: GeneratorSym) -> int:
+        """The letter's code, interning it on first sight.
+
+        Codes follow ``GeneratorSym.key()``; letters equal in key but not in
+        grading take consecutive codes inside their key's slot range.
+        """
+        code = self._codes.get(letter)
+        if code is not None:
+            return code
+        n = self.context.n
+        if max(letter.i, letter.j) >= n:
+            raise ValueError(f"generator {letter.display()} is out of range for n = {n}")
+        first = ((_KIND_RANK[letter.kind] * n + letter.i) * n + letter.j) * _KEY_SLOTS
+        code = first
+        while code in self._letters:
+            code += 1
+        if code - first >= _KEY_SLOTS:
+            raise ValueError(f"too many gradings of generator {letter.display()}")
+        self._codes[letter] = code
+        self._letters[code] = letter
+        self._zdeg[code] = self.context.zdeg(letter)
+        return code
+
+    def _encode(self, word: Word) -> tuple:
+        return (word.zexp, len(word.letters), tuple(map(self._letter_code, word.letters)))
+
+    def _decode(self, word: tuple) -> Word:
+        return Word(word[0], tuple(map(self._letters.__getitem__, word[2])))
+
+    def _word_zdeg(self, word: tuple) -> int:
+        zdeg = self._zdeg
+        return sum(zdeg[code] for code in word[2])
 
     # row discovery --------------------------------------------------------
 
-    def _rows_touching(self, word: Word) -> list[tuple[Word, int, bool, Word]]:
+    def _rows_touching(self, word: tuple) -> list[tuple[tuple, int, bool, tuple]]:
         """All decorations (a, r, b) with a relation word of r dividing `word`
         whose row stays within the word-length and |zexp| bound."""
         D = self.degree_bound
         found = []
-        letters = word.letters
+        zexp, length, letters = word
         for bi, (idx, star, term_words, max_len, zexp_lo, zexp_hi) in enumerate(self._base):
-            for u in term_words:
-                k = len(u.letters)
-                if k > len(letters):
+            for u_zexp, k, u_letters in term_words:
+                if k > length:
                     continue
-                shift = word.zexp - u.zexp
-                # every decoration matching u pads r by len(letters) - k
-                # letters and shifts its z-exponents by `shift`
-                if (len(letters) - k + max_len > D
+                shift = zexp - u_zexp
+                # every decoration matching u pads r by length - k letters
+                # and shifts its z-exponents by `shift`
+                if (length - k + max_len > D
                         or shift + zexp_lo < -D or shift + zexp_hi > D):
                     continue
-                for pos in range(len(letters) - k + 1):
-                    if letters[pos:pos + k] != u.letters:
+                for pos in range(length - k + 1):
+                    if letters[pos:pos + k] != u_letters:
                         continue
-                    decoration = (Word(0, letters[:pos]), idx, star,
-                                  Word(shift, letters[pos + k:]))
-                    key = (bi, decoration[0].key(), decoration[3].key())
+                    left = (0, pos, letters[:pos])
+                    right = (shift, length - pos - k, letters[pos + k:])
+                    key = (bi, left, right)
                     if key not in self._seen_rows:
                         self._seen_rows.add(key)
-                        found.append(decoration)
-        found.sort(key=lambda d: (d[1], d[2], d[0].key(), d[3].key()))
+                        found.append((left, idx, star, right))
+        found.sort(key=lambda d: (d[1], d[2], d[0], d[3]))
         return found
 
-    def _expand_row(self, decoration) -> dict[Word, Scalar]:
+    def _expand_row(self, decoration) -> dict[tuple, Scalar]:
         """The terms of the decorated row a * r * b.
 
         With a = la z^p and b = lb z^s, each term c * lw z^q of r becomes
@@ -787,29 +842,29 @@ class IdealCertifier:
         Multiplying by a monomial is injective on words, so no two terms
         merge and no coefficient vanishes.
         """
-        left, idx, star, right = decoration
-        p, s = left.zexp, right.zexp
-        la, lb = left.letters, right.letters
-        right_zdeg = self.context.word_zdeg(lb)
+        (p, la_len, la), idx, star, right = decoration
+        s, lb_len, lb = right
+        right_zdeg = self._word_zdeg(right)
         zeta_pow = self.context.zeta_pow
-        row: dict[Word, Scalar] = {}
-        for w, c, w_zdeg in self._oriented[(idx, star)]:
-            e = -p * w_zdeg - (p + w.zexp) * right_zdeg
-            row[Word(p + w.zexp + s, la + w.letters + lb)] = c if e == 0 else c * zeta_pow(e)
+        row: dict[tuple, Scalar] = {}
+        for (q, w_len, lw), c, w_zdeg in self._oriented[(idx, star)]:
+            e = -p * w_zdeg - (p + q) * right_zdeg
+            row[(p + q + s, la_len + w_len + lb_len, la + lw + lb)] = (
+                c if e == 0 else c * zeta_pow(e))
         return row
 
     def _ensure_closure(self, seeds) -> None:
         """Generate every spanning row in the component of the seed words."""
         D = self.degree_bound
+        processed = self._processed
         frontier = sorted({w for w in seeds
-                           if w not in self._processed
-                           and len(w) <= D and abs(w.zexp) <= D}, key=Word.key)
+                           if w not in processed and w[1] <= D and abs(w[0]) <= D})
         while frontier and not self.capped:
-            discovered: set[Word] = set()
+            discovered: set[tuple] = set()
             for word in frontier:
-                if word in self._processed:
+                if word in processed:
                     continue
-                self._processed.add(word)
+                processed.add(word)
                 for decoration in self._rows_touching(word):
                     row = self._expand_row(decoration)
                     if len(self._decorations) >= self.row_cap:
@@ -817,47 +872,49 @@ class IdealCertifier:
                         return
                     row_id = len(self._decorations)
                     self._decorations.append(decoration)
-                    for w in row:
-                        if w not in self._processed:
-                            discovered.add(w)
+                    discovered.update(row)
                     self._insert(row, row_id)
-            frontier = sorted(discovered - self._processed, key=Word.key)
+            frontier = sorted(discovered - processed)
 
     # elimination ---------------------------------------------------------
 
-    def _reduce_vector(self, vec: dict[Word, Scalar]):
+    def _reduce_vector(self, vec: dict[tuple, Scalar]):
         """Canonical residual of a vector and the pivot hits consumed."""
+        pivots = self._pivots
         vec = {w: c for w, c in vec.items() if not c.is_zero()}
-        hits: dict[Word, Scalar] = {}
-        while True:
-            pivoted = [w for w in vec if w in self._pivots]
-            if not pivoted:
-                break
-            word = min(pivoted, key=Word.key)
-            coeff = vec[word]
-            pivot_vec = self._pivots[word][0]
-            for w, c in pivot_vec.items():
+        heap = [w for w in vec if w in pivots]
+        heapq.heapify(heap)
+        hits: dict[tuple, Scalar] = {}
+        while heap:
+            word = heapq.heappop(heap)
+            coeff = vec.get(word)
+            if coeff is None:
+                continue
+            for w, c in pivots[word][0].items():
                 prev = vec.get(w)
                 new = (-coeff * c) if prev is None else prev - coeff * c
                 if new.is_zero():
                     vec.pop(w, None)
                 else:
                     vec[w] = new
+                    if prev is None and w in pivots:
+                        heapq.heappush(heap, w)
             # the reduction word strictly increases, so each pivot is hit once
+            # and hits are in canonical order
             hits[word] = coeff
         return vec, hits
 
-    def _insert(self, vec: dict[Word, Scalar], row_id: int) -> None:
+    def _insert(self, vec: dict[tuple, Scalar], row_id: int) -> None:
         residual, used = self._reduce_vector(vec)
         if not residual:
             return
-        lead = min(residual, key=Word.key)
+        lead = min(residual)
         inv = residual[lead].inverse()
         vec_n = {w: inv * c for w, c in residual.items()}
         # pivot row = inv * (row_{row_id} - sum used[q] * pivot_q)
         self._pivots[lead] = (vec_n, row_id, used, inv)
 
-    def _pivot_combo(self, word: Word) -> dict[int, Scalar]:
+    def _pivot_combo(self, word: tuple) -> dict[int, Scalar]:
         """Resolve a pivot row as a combination of original decorated rows.
 
         Recipes always reference pivots inserted earlier, so the dependency
@@ -866,7 +923,7 @@ class IdealCertifier:
         cached = self._combo_cache.get(word)
         if cached is not None:
             return cached
-        stack: list[tuple[Word, bool]] = [(word, False)]
+        stack: list[tuple[tuple, bool]] = [(word, False)]
         while stack:
             current, expanded = stack.pop()
             if current in self._combo_cache:
@@ -892,10 +949,9 @@ class IdealCertifier:
             self._combo_cache[current] = combo
         return self._combo_cache[word]
 
-    def _combo_from_hits(self, hits: dict[Word, Scalar]) -> dict[int, Scalar]:
+    def _combo_from_hits(self, hits: dict[tuple, Scalar]) -> dict[int, Scalar]:
         combo: dict[int, Scalar] = {}
-        for word in sorted(hits, key=Word.key):
-            coeff = hits[word]
+        for word, coeff in hits.items():
             for rid, c in self._pivot_combo(word).items():
                 prev = combo.get(rid)
                 new = coeff * c if prev is None else prev + coeff * c
@@ -908,17 +964,20 @@ class IdealCertifier:
     # public reduction ----------------------------------------------------
 
     def reduce_element(self, element: AlgebraElement):
-        self._ensure_closure(element.terms.keys())
-        residual, hits = self._reduce_vector(dict(element.terms))
-        return AlgebraElement(self.context, residual), self._combo_from_hits(hits)
+        vec = {self._encode(w): c for w, c in element.terms.items()}
+        self._ensure_closure(vec)
+        residual, hits = self._reduce_vector(vec)
+        return (AlgebraElement(self.context, {self._decode(w): c for w, c in residual.items()}),
+                self._combo_from_hits(hits))
 
     def _entries_from_combo(self, combo: dict[int, Scalar], leg: int,
                             other: Word | None) -> list[CertEntry]:
         entries = []
         for rid in sorted(combo):
             left, idx, star, right = self._decorations[rid]
-            entries.append(CertEntry(leg=leg, left=left, rel_index=idx, star=star,
-                                     right=right, other=other, coeff=combo[rid]))
+            entries.append(CertEntry(leg=leg, left=self._decode(left), rel_index=idx,
+                                     star=star, right=self._decode(right), other=other,
+                                     coeff=combo[rid]))
         return entries
 
     def certify_element(self, element: AlgebraElement) -> MembershipCertificate:
@@ -937,42 +996,41 @@ class IdealCertifier:
     def certify_tensor(self, target: TensorElement) -> MembershipCertificate:
         if target.legs != 2:
             raise ValueError("tensor certification is for 2-leg targets")
-        seeds: set[Word] = set()
-        for ws in target.terms:
-            seeds.update(ws)
-        self._ensure_closure(seeds)
+        encoded = {w: self._encode(w) for ws in target.terms for w in ws}
+        self._ensure_closure(encoded.values())
         entries: list[CertEntry] = []
 
         # leg-1 pass: reduce the leg-1 vector over each leg-2 monomial
-        by_leg2: dict[Word, dict[Word, Scalar]] = {}
+        by_leg2: dict[tuple, dict[tuple, Scalar]] = {}
         for (w1, w2), c in target.terms.items():
-            by_leg2.setdefault(w2, {})[w1] = c
-        middle: dict[tuple[Word, Word], Scalar] = {}
-        for w2 in sorted(by_leg2, key=Word.key):
+            by_leg2.setdefault(encoded[w2], {})[encoded[w1]] = c
+        middle: dict[tuple[tuple, tuple], Scalar] = {}
+        for w2 in sorted(by_leg2):
             residual, hits = self._reduce_vector(by_leg2[w2])
-            entries.extend(self._entries_from_combo(self._combo_from_hits(hits), 1, w2))
+            entries.extend(self._entries_from_combo(self._combo_from_hits(hits), 1,
+                                                    self._decode(w2)))
             for w1, c in residual.items():
                 middle[(w1, w2)] = c
 
         # leg-2 pass on what is left
-        by_leg1: dict[Word, dict[Word, Scalar]] = {}
+        by_leg1: dict[tuple, dict[tuple, Scalar]] = {}
         for (w1, w2), c in middle.items():
             by_leg1.setdefault(w1, {})[w2] = c
-        final: dict[tuple[Word, Word], Scalar] = {}
-        for w1 in sorted(by_leg1, key=Word.key):
+        final: dict[tuple[tuple, tuple], Scalar] = {}
+        for w1 in sorted(by_leg1):
             residual, hits = self._reduce_vector(by_leg1[w1])
-            entries.extend(self._entries_from_combo(self._combo_from_hits(hits), 2, w1))
+            entries.extend(self._entries_from_combo(self._combo_from_hits(hits), 2,
+                                                    self._decode(w1)))
             for w2, c in residual.items():
                 final[(w1, w2)] = c
 
-        residual_t = TensorElement(self.context, 2, final)
-        if residual_t.is_zero():
+        if not final:
             # sound even under a capped closure: the combination replays
             return MembershipCertificate("in_ideal", self.degree_bound, tuple(entries))
         if self.capped:
             return MembershipCertificate("undecided_at_bound", self.degree_bound)
         constant = (all(all(w.is_identity() for w in ws) for ws in target.terms)
-                    or all(all(w.is_identity() for w in ws) for ws in residual_t.terms))
+                    or all(w1 == w2 == (0, 0, ()) for w1, w2 in final))
         verdict = "nonzero_constant_obstruction" if constant else "undecided_at_bound"
         return MembershipCertificate(verdict, self.degree_bound)
 

@@ -217,6 +217,57 @@ def test_instance_without_field_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _exit_code_on(doc, argv, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = _exit_code(argv + [str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_zeta_with_too_few_coefficients_is_usage_error(tmp_path, capsys):
+    data = fixture_e1().to_json()
+    data["zeta"]["coeffs"].pop()
+    code, err = _exit_code_on(data, ["validate"], tmp_path, capsys)
+    assert code == 2
+    assert "expected 4 coefficients, got 3" in err and "Traceback" not in err
+
+
+def _boson_document():
+    return json.loads(serialize_presentation(bosonisation_presentation(fixture_e1())))
+
+
+def test_non_string_relation_label_is_usage_error(tmp_path, capsys):
+    doc = _boson_document()
+    doc["relation_labels"][0] = 7
+    code, err = _exit_code_on(doc, ["verify", "--check", "welldef"], tmp_path, capsys)
+    assert code == 2
+    assert "relation labels" in err
+
+
+def test_generator_index_past_n_is_usage_error(tmp_path, capsys):
+    doc = _boson_document()
+    # the second term of the first relation is Ustar(0,0) * U(0,0)
+    doc["relations"][0][1][2][1]["j"] = 2
+    code, err = _exit_code_on(doc, ["verify", "--check", "welldef"], tmp_path, capsys)
+    assert code == 2
+    assert "out of range" in err
+
+
+@pytest.mark.parametrize("where", ["generators", "relations", "comult"])
+def test_letter_with_wrong_grading_is_usage_error(where, tmp_path, capsys):
+    doc = _boson_document()
+    if where == "generators":
+        letter = doc["generators"][1]
+    elif where == "relations":
+        letter = doc["relations"][0][1][2][1]
+    else:
+        letter = doc["comult"]["U(0,1)"][0][1][0][1][0]
+    letter["grading"] += 1
+    code, err = _exit_code_on(doc, ["verify", "--check", "coassoc"], tmp_path, capsys)
+    assert code == 2
+    assert "grading" in err
+
+
 # -- fuzz: mutated documents keep the exit-code contract ---------------------
 
 _INSTANCE_DOCS = [fixture_e1().to_json(), fixture_e2().to_json()]

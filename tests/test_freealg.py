@@ -503,19 +503,102 @@ def test_fast_path_row_equals_generic_product(decoration_cases, case, data):
     idx = data.draw(st.integers(0, len(certifier.relations) - 1))
     star = data.draw(st.booleans())
     left, right = word(), word()
-    row = certifier._expand_row((left, idx, star, right))
+    row = certifier._expand_row((certifier._encode(left), idx, star, certifier._encode(right)))
     rel = certifier.relations[idx]
     rel = rel.adjoint() if star else rel
     expected = (AlgebraElement.monomial(ctx, left) * rel
                 * AlgebraElement.monomial(ctx, right))
     # monomial multiplication is injective: no terms merge or vanish
     assert len(row) == len(rel.terms)
-    assert AlgebraElement(ctx, row) == expected
+    assert AlgebraElement(ctx, {certifier._decode(w): c for w, c in row.items()}) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_interned_words_round_trip_in_key_order(decoration_cases, data):
+    from braidfoq.freealg import IdealCertifier
+
+    shared, alphabet = decoration_cases["e1_boson"]
+    certifier = IdealCertifier(shared.context, shared.relations, 3)
+    # a letter equal in key to U(0,1) but not in grading interns apart from it
+    odd = GeneratorSym("U", 0, 1, grading=7)
+    for g in alphabet + [odd]:
+        for h in alphabet + [odd]:
+            if g.key() != h.key():
+                assert ((certifier._letter_code(g) < certifier._letter_code(h))
+                        == (g.key() < h.key()))
+    letters = st.sampled_from(alphabet + [odd])
+
+    def word():
+        return Word(data.draw(st.integers(-2, 2)),
+                    tuple(data.draw(st.lists(letters, max_size=4))))
+
+    a, b = word(), word()
+    ea, eb = certifier._encode(a), certifier._encode(b)
+    assert certifier._decode(ea) == a and certifier._decode(eb) == b
+    assert (ea == eb) == (a == b)
+    if a.key() != b.key():
+        assert (ea < eb) == (a.key() < b.key())
+
+
+@pytest.fixture(scope="module")
+def e1_bound3_certifier(e1):
+    """A certifier closed and reduced over every E1 bosonisation target at bound 3."""
+    from braidfoq.freealg import IdealCertifier
+
+    presentation = bosonisation_presentation(e1)
+    certifier = IdealCertifier(presentation.context, presentation.relations, 3)
+    for rel in presentation.relations:
+        certifier.certify_tensor(apply_comult(rel, presentation))
+    columns = sorted({w for vec, *_ in certifier._pivots.values() for w in vec})
+    return certifier, columns
+
+
+def _min_scan_reduce(certifier, vec):
+    """Reference reduction: scan for the least pivot word by ``Word.key`` each step."""
+    pivots = certifier._pivots
+    vec = {w: c for w, c in vec.items() if not c.is_zero()}
+    hits = {}
+    while True:
+        pivoted = [w for w in vec if w in pivots]
+        if not pivoted:
+            return vec, hits
+        word = min(pivoted, key=lambda w: certifier._decode(w).key())
+        coeff = vec[word]
+        for w, c in pivots[word][0].items():
+            new = vec.get(w, certifier.context.field.zero()) - coeff * c
+            if new.is_zero():
+                vec.pop(w, None)
+            else:
+                vec[w] = new
+        hits[word] = coeff
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_heap_reduction_matches_min_scan(e1_bound3_certifier, data):
+    certifier, columns = e1_bound3_certifier
+    field = certifier.context.field
+    coeff = st.integers(0, 7).map(field.root)
+    # random column words plus random multiples of pivot rows, so that
+    # reductions cancel words and revisit words already touched
+    vec = {w: data.draw(coeff) for w in data.draw(st.lists(st.sampled_from(columns),
+                                                             max_size=12))}
+    leads = sorted(certifier._pivots)
+    for lead in data.draw(st.lists(st.sampled_from(leads), max_size=4)):
+        scale = data.draw(coeff)
+        for w, c in certifier._pivots[lead][0].items():
+            vec[w] = vec.get(w, field.zero()) + scale * c
+    residual, hits = certifier._reduce_vector(dict(vec))
+    expected_residual, expected_hits = _min_scan_reduce(certifier, vec)
+    assert residual == expected_residual
+    assert list(hits.items()) == list(expected_hits.items())
 
 
 @pytest.mark.parametrize("fixture, label", [("e1", "welldef_e1_boson_b3_s"),
                                             ("e2", "welldef_e2_boson_b3_s"),
-                                            ("e1", "welldef_e1_tform_b3_s")])
+                                            ("e1", "welldef_e1_tform_b3_s"),
+                                            ("e1", "welldef_e1_boson_b4_s")])
 def test_bound3_certificates_match_recorded_bytes(request, fixture, label):
     import hashlib
     import json
@@ -528,7 +611,8 @@ def test_bound3_certificates_match_recorded_bytes(request, fixture, label):
     present = t_form_presentation if "_tform_" in label else bosonisation_presentation
     built = present(request.getfixturevalue(fixture))
     presentation = deserialize_presentation(serialize_presentation(built) + "\n")
-    report = well_definedness_check(presentation, 3)
+    bound = int(label.rsplit("_b", 1)[1][0])
+    report = well_definedness_check(presentation, bound)
     assert {r["relation"]: r["verdict"] for r in report["relations"]} == recorded["verdicts"]
     payload = [{"relation": r["relation"], "certificate": r["certificate"].to_json()}
                for r in report["relations"]]
