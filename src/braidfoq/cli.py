@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=["coassoc", "welldef", "intertwiner"],
                    required=True)
     p.add_argument("--bound", type=_nonnegative_int, default=3)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="accepted for compatibility; the certifier is single-threaded")
     p.add_argument("--row-cap", type=_positive_int, default=None, dest="row_cap")
     p.add_argument("--emit-cert", dest="emit_cert", help="dump certificates to this path")
@@ -387,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the reproducible property battery")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--bound", type=_nonnegative_int, default=3)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; the report does not depend on it")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="run the checks on up to min(WORKERS, 8) processes; "
+                        "the report does not depend on it")
     p.add_argument("--row-cap", type=_positive_int, default=None, dest="row_cap")
     p.add_argument("--field", type=_parse_field,
                    help="pin the cyclotomic order of random instances (cyclo:N)")

@@ -231,6 +231,13 @@ class Field:
     def __hash__(self) -> int:
         return hash((self.mode, self.order, self.tolerance))
 
+    def __reduce__(self):
+        # rebuild through the constructor: the shared table holds a lock,
+        # which cannot be pickled, and an unpickled field reuses the cache
+        if self.exact:
+            return Field.cyclotomic, (self.order,)
+        return Field.approx, (self.tolerance,)
+
     def __repr__(self) -> str:
         if self.exact:
             return f"Field.cyclotomic({self.order})"

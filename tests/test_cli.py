@@ -208,6 +208,18 @@ def test_suite_bound_below_two_is_usage_error(capsys):
     assert _exit_code(["suite", "--bound", "1"]) == 2
 
 
+def test_suite_zero_workers_is_usage_error(capsys):
+    assert _exit_code(["suite", "--workers", "0"]) == 2
+
+
+def test_suite_negative_workers_is_usage_error(capsys):
+    assert _exit_code(["suite", "--workers", "-3"]) == 2
+
+
+def test_verify_zero_workers_is_usage_error(boson_file, capsys):
+    assert _exit_code(["verify", "--check", "welldef", "--workers", "0", boson_file]) == 2
+
+
 def test_instance_without_field_is_usage_error(tmp_path, capsys):
     data = fixture_e1().to_json()
     del data["field"]

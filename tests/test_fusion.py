@@ -109,3 +109,43 @@ def test_labels_with_distinct_winding_stay_distinct(even):
     assert all(r.l == 3 for r in decomposition)
     other = fuse(IrrepLabel(2, 0), IrrepLabel(2, 2), even)
     assert set(decomposition.summands).isdisjoint(set(other.summands))
+
+
+def _reference_pair_failures(ctx, bound, fuse_fn):
+    """The commutativity and conjugation failures of ``ring_checks``, found
+    by fusing each pair three times, as the direct reading of the axioms."""
+    labels = [IrrepLabel(k, l) for k in range(bound + 1)
+              for l in range(-bound, bound + 1) if IrrepLabel(k, l).valid_in(ctx)]
+    failures = []
+    for a in labels:
+        for b in labels:
+            ab = fuse_fn(a, b, ctx)
+            witness = [a.to_json(), b.to_json()]
+            if sorted(ab) != sorted(fuse_fn(b, a, ctx)):
+                failures.append({"check": "commutativity", "witness": witness})
+            if (sorted(conj_label(r) for r in ab)
+                    != sorted(fuse_fn(conj_label(b), conj_label(a), ctx))):
+                failures.append({"check": "conjugation", "witness": witness})
+    return failures
+
+
+def test_ring_checks_report_broken_fusion_like_the_reference(monkeypatch, even, odd):
+    import braidfoq.fusion as fusion_module
+
+    def skewed(a, b, ctx):
+        # moves the winding of a x b by 2 when a sorts before b: still a
+        # valid, dimension-preserving ladder, but neither commutative nor
+        # conjugation-compatible
+        rungs = fuse(a, b, ctx)
+        if a < b and a != IrrepLabel(0, 0):
+            return fusion_module.FusionDecomposition(
+                tuple(IrrepLabel(r.k, r.l + 2) for r in rungs))
+        return rungs
+
+    monkeypatch.setattr(fusion_module, "fuse", skewed)
+    for ctx in (even, odd):
+        expected = _reference_pair_failures(ctx, 3, skewed)
+        report = ring_checks(ctx, 3)
+        got = [f for f in report["failures"] if f["check"] in ("commutativity", "conjugation")]
+        assert expected and got == expected
+        assert not report["passed"]

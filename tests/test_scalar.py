@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -139,6 +140,20 @@ def test_scalar_json_round_trip(f8):
     approx = Field.approx(1e-10)
     b = approx.from_complex(0.25 - 1.5j)
     assert Scalar.from_json(b.to_json(), approx) == b
+
+
+def test_fields_and_scalars_survive_pickling(f8):
+    approx = Field.approx(1e-9)
+    for field in (f8, approx):
+        back = pickle.loads(pickle.dumps(field))
+        assert back == field and hash(back) == hash(field)
+    # an unpickled exact field shares the cached reduction table
+    assert pickle.loads(pickle.dumps(f8))._table is f8._table
+    exact = f8.root(3) * f8.from_rational(Fraction(2, 3)) + f8.one()
+    back = pickle.loads(pickle.dumps(exact))
+    assert back == exact and hash(back) == hash(exact)
+    near = approx.from_complex(0.5 - 2j)
+    assert pickle.loads(pickle.dumps(near)) == near
 
 
 def test_approx_mode_tolerance():
