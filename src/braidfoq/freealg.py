@@ -149,6 +149,11 @@ class AlgebraContext:
     def z(self, power: int = 1) -> GeneratorSym:
         return GeneratorSym("Z", power=power, grading=0)
 
+    def letter(self, kind: str, i: int, j: int) -> GeneratorSym:
+        """The U, Ustar, X or Xstar generator (i, j) with its derived grading."""
+        factories = {"U": self.u, "Ustar": self.ustar, "X": self.x, "Xstar": self.xstar}
+        return factories[kind](i, j)
+
     def to_json(self) -> dict:
         return {"field": self.field.to_json(), "zeta": self.zeta.to_json(),
                 "degrees": list(self.degrees)}
@@ -685,11 +690,6 @@ class MembershipCertificate:
         }
 
 
-# a letter's code in the certifier is its key's slot times _KEY_SLOTS plus its
-# place among the letters that differ from it only in grading
-_KEY_SLOTS = 1 << 16
-
-
 class IdealCertifier:
     """Row-reduced spanning set of bounded two-sided relation multiples.
 
@@ -707,8 +707,10 @@ class IdealCertifier:
     Columns are interned words: a ``Word`` becomes the int tuple
     ``(zexp, len, letter_codes)`` when a relation or target comes in, and
     goes back to a ``Word`` only in certificate entries and residuals.
-    Letter codes are ordered as ``GeneratorSym.key()``, so the tuple order
-    of an interned word is ``Word.key()`` order, and hashing and comparing
+    A letter's grading is checked against the context when it is interned,
+    so ``GeneratorSym.key()`` is a total order on the letters a certifier
+    sees; letter codes are the key's rank, so the tuple order of an
+    interned word is ``Word.key()`` order, and hashing and comparing
     columns never touches a dataclass.
 
     Determinism: columns are words in canonical order, frontier words and
@@ -774,8 +776,9 @@ class IdealCertifier:
     def _letter_code(self, letter: GeneratorSym) -> int:
         """The letter's code, interning it on first sight.
 
-        Codes follow ``GeneratorSym.key()``; letters equal in key but not in
-        grading take consecutive codes inside their key's slot range.
+        Codes follow ``GeneratorSym.key()``.  Two letters equal in key but
+        not in grading would break that order on words, so a stored grading
+        is checked against the context's, as the presentation loader does.
         """
         code = self._codes.get(letter)
         if code is not None:
@@ -783,12 +786,11 @@ class IdealCertifier:
         n = self.context.n
         if max(letter.i, letter.j) >= n:
             raise ValueError(f"generator {letter.display()} is out of range for n = {n}")
-        first = ((_KIND_RANK[letter.kind] * n + letter.i) * n + letter.j) * _KEY_SLOTS
-        code = first
-        while code in self._letters:
-            code += 1
-        if code - first >= _KEY_SLOTS:
-            raise ValueError(f"too many gradings of generator {letter.display()}")
+        derived = self.context.letter(letter.kind, letter.i, letter.j)
+        if letter.grading != derived.grading:
+            raise ValueError(f"generator {letter.display()} has grading {letter.grading}, "
+                             f"expected {derived.grading}")
+        code = (_KIND_RANK[letter.kind] * n + letter.i) * n + letter.j
         self._codes[letter] = code
         self._letters[code] = letter
         self._zdeg[code] = self.context.zdeg(letter)

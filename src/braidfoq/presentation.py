@@ -472,15 +472,13 @@ def deserialize_presentation(text: str) -> Presentation:
         for legs in img.terms:
             for word in legs:
                 letters.extend(word.letters)
-    factories = {"U": context.u, "Ustar": context.ustar, "X": context.x,
-                 "Xstar": context.xstar}
     for g in letters:
         if g.kind == "Z":
             derived = context.z(g.power)
         elif max(g.i, g.j) >= context.n:
             raise ValueError(f"generator {g.display()} is out of range for n = {context.n}")
         else:
-            derived = factories[g.kind](g.i, g.j)
+            derived = context.letter(g.kind, g.i, g.j)
         # a stored grading is checked, not trusted, so GeneratorSym.key() is a
         # total order on loaded letters
         if g.grading != derived.grading:
