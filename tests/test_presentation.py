@@ -205,3 +205,41 @@ def test_random_instance_presentations_are_consistent():
         inst = random_valid_instance(rng, n=rng.choice([2, 3]), order=8)
         p = braided_presentation(inst)
         assert len(p.relations) == 3 * inst.space.n ** 2
+
+
+# sha256 of serialize_presentation for every builder on the paper fixtures;
+# certify deserialises its input, so only this pins what the builders emit
+_PRESENTATION_SHA256 = {
+    ("e0", "braided"): "84c55b0a8119e8fd853eb58328331fa516c8fda1f7bd32fc10a1e67abb64b1f4",
+    ("e0", "bosonisation"): "51704a953a518b358621c0f8dd8cb467516d50db9a9aeb2b1d81eec15320c39b",
+    ("e0", "t_form"): "3243bf0d3843f85e0f51c11c443c92cd9583577cb76de6fa6074dc71e797744d",
+    ("e0", "aof"): "24effeb7e56299de187657b8066383f89d52a598d1063fd805dc5b11ca8ab381",
+    ("e0", "circle"): "db61243461dc47c7ade78ff5074f09d4fa11e06f9a52bfadd007c8bb809a2378",
+    ("e1", "braided"): "0a0f28c86f55302011e771394e3084da44023da1c3af48311b94df361673f6fa",
+    ("e1", "bosonisation"): "e78df2e816d11a576462b3ab48944619f9f7ea72b0532c624c5c2697a0bab08a",
+    ("e1", "t_form"): "cdff92da2d9fdcdbb5821038ff1221d21dfcaa17c7961ba2f5244269a1f25206",
+    ("e1", "aof"): "5039916dc01313a36ff3d61d1cdcbfa9909ba40ea5bdb59101a58611806311c1",
+    ("e1", "circle"): "e4bc7e046619dc81cbc9966f4b906f6b4ca0dad5b3a35f447191f5f0a2d525cf",
+    ("e2", "braided"): "069d1ce41ea5045418b0a59abc08687b4f2819d61af460c427c01a57a2748fa2",
+    ("e2", "bosonisation"): "40aade79acccb53b1949acc1bc5916bbb8fe9142d74b6c3db8cfb806c07b9f31",
+    ("e2", "t_form"): "4db414e547416c055d118c9d47ba449c1650e6578630ec92862424f439b49d2d",
+    ("e2", "aof"): "543d66e1f2ffdfe40e9cfe6900e83b40aae021da524b53e87b9b694ed4f2b899",
+    ("e2", "circle"): "db61243461dc47c7ade78ff5074f09d4fa11e06f9a52bfadd007c8bb809a2378",
+}
+
+_BUILDERS = {
+    "braided": braided_presentation,
+    "bosonisation": bosonisation_presentation,
+    "t_form": t_form_presentation,
+    "aof": lambda data: aof_presentation(f_matrix(data)),
+    "circle": lambda data: circle_presentation(data.space.field, data.space.zeta),
+}
+
+
+@pytest.mark.parametrize("fixture,builder", sorted(_PRESENTATION_SHA256))
+def test_presentation_bytes_match_recorded_hash(request, fixture, builder):
+    import hashlib
+
+    text = serialize_presentation(_BUILDERS[builder](request.getfixturevalue(fixture)))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == _PRESENTATION_SHA256[(fixture, builder)]
