@@ -53,6 +53,10 @@ def _positive_int(text: str) -> int:
     return _int_arg(text, 1)
 
 
+def _matrix_size(text: str) -> int:
+    return _int_arg(text, 2)
+
+
 def _label_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -71,18 +75,23 @@ def _row_cap(flag: int | None) -> int:
     return flag or DEFAULT_ROW_CAP
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+def _write(text: str, out_path: str | None) -> None:
+    """Print the text; with --out also write it there, newline-terminated."""
     print(text)
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text + "\n")
 
 
-# what a malformed document raises while it is loaded: the wrong shape inside
-# the from_json readers, OverflowError for int() of an Infinity where an
-# integer belongs, ZeroDivisionError for a zero denominator, and ValueError for
-# a value the constructors reject; verdicts computed after loading keep exit 1
+def _emit(report: dict, out_path: str | None) -> None:
+    _write(json.dumps(report, indent=2, sort_keys=True), out_path)
+
+
+# what a malformed document or argument raises while it is parsed: the wrong
+# shape inside the from_json readers, OverflowError for int() of an Infinity
+# where an integer belongs, ZeroDivisionError for a zero denominator, and
+# ValueError for a value the constructors reject; verdicts computed after
+# parsing keep exit 1
 _SCHEMA_ERRORS = (KeyError, IndexError, TypeError, AttributeError, OverflowError,
                   ZeroDivisionError, ValueError)
 
@@ -140,17 +149,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     field = args.field
-    degrees = tuple(int(x) for x in args.degrees.split(","))
-    try:
-        zeta_exp = int(args.zeta)
-        zeta = field.root(zeta_exp)
-    except ValueError:
-        zeta = _parse_scalar(args.zeta, field)
-    space = GradedSpace(n=len(degrees), degrees=degrees, zeta=zeta, field=field)
     with open(args.blocks) as handle:
         raw_blocks = json.load(handle)
-    blocks = {int(k): Matrix.from_json(v, field) for k, v in raw_blocks.items()}
-    c = _parse_scalar(args.c, field) if args.c else None
+    try:
+        degrees = tuple(int(x) for x in args.degrees.split(","))
+        try:
+            zeta = field.root(int(args.zeta))
+        except ValueError:
+            zeta = _parse_scalar(args.zeta, field)
+        space = GradedSpace(n=len(degrees), degrees=degrees, zeta=zeta, field=field)
+        blocks = {int(k): Matrix.from_json(v, field) for k, v in raw_blocks.items()}
+        c = _parse_scalar(args.c, field) if args.c else None
+    except _SCHEMA_ERRORS as exc:
+        raise UsageError(f"malformed solve input: {exc!r}") from None
     data = solve_omega(space, args.d, blocks, c)
     report = data.to_json()
     # report the chosen c (meaningful when --c was omitted)
@@ -213,11 +224,7 @@ def _cmd_present(args) -> int:
         presentation = aof_presentation(f_matrix(data))
     else:
         presentation = builders[args.target](data)
-    text = serialize_presentation(presentation)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+    _write(serialize_presentation(presentation), args.out)
     return EXIT_OK
 
 
@@ -256,8 +263,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    ctx = FusionContext(n=max(args.n, 2),
-                        parity="even_d" if args.parity == "even" else "odd_d")
+    ctx = FusionContext(n=args.n, parity="even_d" if args.parity == "even" else "odd_d")
     decomposition = fuse(IrrepLabel(*args.a), IrrepLabel(*args.b), ctx)
     _emit(decomposition.to_json(), args.out)
     return EXIT_OK
@@ -286,11 +292,7 @@ def _cmd_suite(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     report = run_suite(config)
-    text = report_to_text(report)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+    _write(report_to_text(report), args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
@@ -369,13 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_label_pair, required=True, help="k,l")
     p.add_argument("--b", type=_label_pair, required=True, help="m,j")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_matrix_size, default=2)
     _common(p)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("dims", help="dimension ladder")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative_int, required=True)
+    p.add_argument("--n", type=_matrix_size, required=True)
     _common(p)
     p.set_defaults(func=_cmd_dims)
 

@@ -222,38 +222,109 @@ def normal_form(raw: list[GeneratorSym] | tuple[GeneratorSym, ...],
     return context.zeta_pow(phase_exp), Word(z_acc, tuple(letters))
 
 
+def _z_pass_phase(context: AlgebraContext, zexp: int, letters) -> Scalar:
+    # z^p g = zeta^(-p*zdeg(g)) g z^p, letter by letter
+    if zexp and letters:
+        return context.zeta_pow(-zexp * context.word_zdeg(letters))
+    return context.field.one()
+
+
 def _word_mul(context: AlgebraContext, a: Word, b: Word) -> tuple[Scalar, Word]:
     # (w1 z^p)(w2 z^q) = zeta^(-p*zdeg(w2)) w1 w2 z^(p+q)
-    if a.zexp and b.letters:
-        phase = context.zeta_pow(-a.zexp * context.word_zdeg(b.letters))
-    else:
-        phase = context.field.one()
-    return phase, Word(a.zexp + b.zexp, a.letters + b.letters)
+    return (_z_pass_phase(context, a.zexp, b.letters),
+            Word(a.zexp + b.zexp, a.letters + b.letters))
 
 
 def _word_adjoint(context: AlgebraContext, w: Word) -> tuple[Scalar, Word]:
     # (w z^p)* = zeta^(-p*zdeg(w)) w* z^(-p)
     starred = tuple(g.star() for g in reversed(w.letters))
-    if w.zexp and w.letters:
-        phase = context.zeta_pow(-w.zexp * context.word_zdeg(w.letters))
-    else:
-        phase = context.field.one()
-    return phase, Word(-w.zexp, starred)
+    return _z_pass_phase(context, w.zexp, w.letters), Word(-w.zexp, starred)
 
 
-class AlgebraElement:
-    """Finite scalar combination of normal-form words; canonical storage."""
+def _accumulate(out: dict, key, coeff: Scalar) -> None:
+    """Add ``coeff`` to ``out[key]``; the element constructors drop zero sums."""
+    prev = out.get(key)
+    out[key] = coeff if prev is None else prev + coeff
+
+
+class _Combination:
+    """Finite scalar combination of term keys; canonical storage.
+
+    A term key is a ``Word`` for algebra elements and a tuple of leg
+    ``Word``s for tensor elements.  Zero coefficients are never stored.
+    Subclasses supply ``_like`` (a combination of the same kind on new
+    terms) and ``_space`` (what two operands must share).
+    """
 
     __slots__ = ("context", "terms")
 
-    def __init__(self, context: AlgebraContext, terms: dict[Word, Scalar] | None = None):
+    def __init__(self, context: AlgebraContext, terms: dict | None = None):
         self.context = context
-        clean: dict[Word, Scalar] = {}
+        clean: dict = {}
         if terms:
-            for w, c in terms.items():
+            for key, c in terms.items():
                 if not c.is_zero():
-                    clean[w] = c
+                    clean[key] = c
         self.terms = clean
+
+    def _check(self, other) -> None:
+        if self._space() != other._space():
+            raise FieldMismatch(f"{type(self).__name__} context mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(out, key, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            prev = out.get(key)
+            out[key] = -c if prev is None else prev - c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scale(self, coeff: Scalar):
+        if coeff.is_zero():
+            return self._like({})
+        return self._like({key: coeff * c for key, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space() == other._space() and (self - other).is_zero()
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is not hashable")
+
+    def __repr__(self) -> str:
+        if self.is_zero():
+            return "0"
+        parts = []
+        for key, c in self.sorted_terms():
+            legs = (key,) if isinstance(key, Word) else key
+            parts.append(f"({c!r})*" + " (x) ".join(w.display() for w in legs))
+        return " + ".join(parts)
+
+
+class AlgebraElement(_Combination):
+    """Finite scalar combination of normal-form words; canonical storage."""
+
+    __slots__ = ()
+
+    def _like(self, terms: dict) -> "AlgebraElement":
+        return AlgebraElement(self.context, terms)
+
+    def _space(self):
+        return self.context
 
     # constructors -------------------------------------------------------
 
@@ -284,66 +355,23 @@ class AlgebraElement:
 
     # arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "AlgebraElement") -> None:
-        if self.context != other.context:
-            raise FieldMismatch("algebra context mismatch")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-        return AlgebraElement(self.context, out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = -c if prev is None else prev - c
-        return AlgebraElement(self.context, out)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.context, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, coeff: Scalar) -> "AlgebraElement":
-        if coeff.is_zero():
-            return AlgebraElement.zero(self.context)
-        return AlgebraElement(self.context, {w: coeff * c for w, c in self.terms.items()})
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         out: dict[Word, Scalar] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 phase, word = _word_mul(self.context, wa, wb)
-                coeff = ca * cb * phase
-                prev = out.get(word)
-                out[word] = coeff if prev is None else prev + coeff
+                _accumulate(out, word, ca * cb * phase)
         return AlgebraElement(self.context, out)
 
     def adjoint(self) -> "AlgebraElement":
         out: dict[Word, Scalar] = {}
         for w, c in self.terms.items():
             phase, word = _word_adjoint(self.context, w)
-            coeff = c.conj() * phase
-            prev = out.get(word)
-            out[word] = coeff if prev is None else prev + coeff
+            _accumulate(out, word, c.conj() * phase)
         return AlgebraElement(self.context, out)
 
     # predicates ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.context == other.context and (self - other).is_zero()
-
-    def __hash__(self):
-        raise TypeError("algebra elements are not hashable")
 
     def beta_degree(self) -> int | None:
         """The common grading of all words, or None when mixed or zero."""
@@ -374,45 +402,37 @@ class AlgebraElement:
         shifted = self
         if shift:
             shifted = self * AlgebraElement.monomial(self.context, Word(-shift, ()))
-        lead_word, lead_coeff = shifted.sorted_terms()[0]
+        lead_coeff = shifted.sorted_terms()[0][1]
         return shifted.scale(lead_coeff.inverse())
 
     def to_json(self) -> list:
-        return [[c.to_json(), w.zexp, [g.to_json() for g in w.letters]]
-                for w, c in self.sorted_terms()]
+        return [[c.to_json(), *w.to_json()] for w, c in self.sorted_terms()]
 
     @classmethod
     def from_json(cls, data: list, context: AlgebraContext) -> "AlgebraElement":
         terms: dict[Word, Scalar] = {}
         for coeff_json, zexp, letters in data:
-            word = Word(int(zexp), tuple(GeneratorSym.from_json(g) for g in letters))
-            terms[word] = Scalar.from_json(coeff_json, context.field)
+            terms[Word.from_json([zexp, letters])] = Scalar.from_json(coeff_json, context.field)
         return cls(context, terms)
 
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = [f"({c!r})*{w.display()}" for w, c in self.sorted_terms()]
-        return " + ".join(parts)
 
-
-class TensorElement:
+class TensorElement(_Combination):
     """Scalar combination of 2- or 3-leg word tuples, each leg normalized."""
 
-    __slots__ = ("context", "legs", "terms")
+    __slots__ = ("legs",)
 
     def __init__(self, context: AlgebraContext, legs: int,
                  terms: dict[tuple[Word, ...], Scalar] | None = None):
         if legs not in (2, 3):
             raise ValueError("tensor elements have 2 or 3 legs")
-        self.context = context
         self.legs = legs
-        clean: dict[tuple[Word, ...], Scalar] = {}
-        if terms:
-            for ws, c in terms.items():
-                if not c.is_zero():
-                    clean[ws] = c
-        self.terms = clean
+        super().__init__(context, terms)
+
+    def _like(self, terms: dict) -> "TensorElement":
+        return TensorElement(self.context, self.legs, terms)
+
+    def _space(self):
+        return self.context, self.legs
 
     @classmethod
     def zero(cls, context: AlgebraContext, legs: int = 2) -> "TensorElement":
@@ -431,44 +451,13 @@ class TensorElement:
 
         def _extend(prefix, coeff, rest):
             if not rest:
-                prev = out.get(prefix)
-                out[prefix] = coeff if prev is None else prev + coeff
+                _accumulate(out, prefix, coeff)
                 return
             for w, c in rest[0].terms.items():
                 _extend(prefix + (w,), coeff * c, rest[1:])
 
         _extend((), context.field.one(), list(factors))
         return cls(context, len(factors), out)
-
-    def _check(self, other: "TensorElement") -> None:
-        if self.context != other.context or self.legs != other.legs:
-            raise FieldMismatch("tensor context or leg mismatch")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for ws, c in other.terms.items():
-            prev = out.get(ws)
-            out[ws] = c if prev is None else prev + c
-        return TensorElement(self.context, self.legs, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        out = dict(self.terms)
-        for ws, c in other.terms.items():
-            prev = out.get(ws)
-            out[ws] = -c if prev is None else prev - c
-        return TensorElement(self.context, self.legs, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.context, self.legs,
-                             {ws: -c for ws, c in self.terms.items()})
-
-    def scale(self, coeff: Scalar) -> "TensorElement":
-        if coeff.is_zero():
-            return TensorElement.zero(self.context, self.legs)
-        return TensorElement(self.context, self.legs,
-                             {ws: coeff * c for ws, c in self.terms.items()})
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Legwise product; braiding phases already live in the z-bookkeeping."""
@@ -482,9 +471,7 @@ class TensorElement:
                     phase, word = _word_mul(self.context, a, b)
                     coeff = coeff * phase
                     words.append(word)
-                key = tuple(words)
-                prev = out.get(key)
-                out[key] = coeff if prev is None else prev + coeff
+                _accumulate(out, tuple(words), coeff)
         return TensorElement(self.context, self.legs, out)
 
     def adjoint(self) -> "TensorElement":
@@ -496,22 +483,8 @@ class TensorElement:
                 phase, word = _word_adjoint(self.context, w)
                 coeff = coeff * phase
                 words.append(word)
-            key = tuple(words)
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
+            _accumulate(out, tuple(words), coeff)
         return TensorElement(self.context, self.legs, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.context == other.context and self.legs == other.legs
-                and (self - other).is_zero())
-
-    def __hash__(self):
-        raise TypeError("tensor elements are not hashable")
 
     def max_leg_length(self) -> int:
         return max((len(w) for ws in self.terms for w in ws), default=0)
@@ -532,13 +505,6 @@ class TensorElement:
             key = tuple(Word.from_json(w) for w in words)
             terms[key] = Scalar.from_json(coeff_json, context.field)
         return cls(context, legs, terms)
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = [f"({c!r})*" + " (x) ".join(w.display() for w in ws)
-                 for ws, c in self.sorted_terms()]
-        return " + ".join(parts)
 
 
 # -- comultiplication ------------------------------------------------------
@@ -603,9 +569,7 @@ def expand_three_legs(t2: TensorElement, presentation, leg: int) -> TensorElemen
         inner = apply_comult(AlgebraElement.monomial(context, target), presentation)
         terms: dict[tuple[Word, ...], Scalar] = {}
         for (a, b), c in inner.terms.items():
-            key = (a, b, w2) if leg == 0 else (w1, a, b)
-            prev = terms.get(key)
-            terms[key] = c if prev is None else prev + c
+            _accumulate(terms, (a, b, w2) if leg == 0 else (w1, a, b), c)
         out = out + TensorElement(context, 3, terms).scale(coeff)
     return out
 
@@ -1044,18 +1008,12 @@ def ideal_membership(target, relations, degree_bound: int, *,
     ``workers`` is accepted for compatibility; the certifier is
     single-threaded and the certificate does not depend on it.
     """
-    context = target.context
-    if isinstance(target, TensorElement):
-        if target.max_leg_length() > degree_bound:
-            raise ValueError("degree_bound is below the target's word degree")
-    else:
-        if target.max_word_length() > degree_bound:
-            raise ValueError("degree_bound is below the target's word degree")
-    certifier = IdealCertifier(context, relations, degree_bound,
+    tensor = isinstance(target, TensorElement)
+    if (target.max_leg_length() if tensor else target.max_word_length()) > degree_bound:
+        raise ValueError("degree_bound is below the target's word degree")
+    certifier = IdealCertifier(target.context, relations, degree_bound,
                                row_cap=row_cap, workers=workers)
-    if isinstance(target, TensorElement):
-        return certifier.certify_tensor(target)
-    return certifier.certify_element(target)
+    return certifier.certify_tensor(target) if tensor else certifier.certify_element(target)
 
 
 def well_definedness_check(presentation, degree_bound: int, *,
@@ -1105,7 +1063,7 @@ def intertwiner_check(data, f_override=None) -> bool:
     is how mutation tests confirm the identity pins F.
     """
     from .graded import f_matrix
-    from .presentation import t_form_presentation
+    from .presentation import _linear_form, t_form_presentation
 
     presentation = t_form_presentation(data)
     context = presentation.context
@@ -1119,16 +1077,8 @@ def intertwiner_check(data, f_override=None) -> bool:
             generated[(int(coords[0]), int(coords[1]))] = presentation.relations[idx]
     for j in range(n):
         for i in range(n):
-            lhs = AlgebraElement.zero(context)
-            rhs = AlgebraElement.zero(context)
-            for k in range(n):
-                f_ki = F[k, i]
-                if not f_ki.is_zero():
-                    lhs = lhs + AlgebraElement.from_letter(context, context.x(j, k)).scale(f_ki)
-                f_jk = F[j, k]
-                if not f_jk.is_zero():
-                    rhs = rhs + AlgebraElement.from_letter(context, context.xstar(k, i)).scale(f_jk)
-            diff = lhs - zd * rhs
-            if diff != generated[(j, i)]:
+            lhs = _linear_form(context, ((F[k, i], context.x(j, k)) for k in range(n)))
+            rhs = _linear_form(context, ((F[j, k], context.xstar(k, i)) for k in range(n)))
+            if lhs - zd * rhs != generated[(j, i)]:
                 return False
     return True

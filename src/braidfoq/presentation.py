@@ -59,15 +59,40 @@ class Presentation:
         return [r for r in self.relations if not r.is_zero()]
 
 
-def _require_valid(data: OmegaData) -> None:
+def _graded_context(data: OmegaData) -> AlgebraContext:
+    """Check the block condition, then build the context of the instance's grading."""
     report = validate(data)
     if not report.holds:
         raise ValueError(f"instance fails the block condition: {report.reason}")
+    space = data.space
+    return AlgebraContext(field=space.field, zeta=space.zeta, degrees=space.degrees)
 
 
-def _unitarity_relations(context: AlgebraContext, letter, letter_star, n: int,
-                         labels: list, relations: list, prefix: str) -> None:
+def _phase_context(field: Field, zeta: Scalar | None, degrees: tuple[int, ...]) -> AlgebraContext:
+    """The context of an ungraded builder; zeta defaults to the trivial phase."""
+    if zeta is None:
+        zeta = field.one() if field.exact else field.from_complex(1.0)
+    return AlgebraContext(field=field, zeta=zeta, degrees=degrees)
+
+
+def _matrix_letters(context: AlgebraContext, letter) -> tuple[GeneratorSym, ...]:
+    n = context.n
+    return tuple(letter(i, j) for i in range(n) for j in range(n))
+
+
+def _linear_form(context: AlgebraContext, pairs) -> AlgebraElement:
+    """sum_k c_k * letter_k over (c_k, letter_k) pairs with distinct letters;
+    the constructor drops the zero coefficients."""
+    return AlgebraElement(context, {Word(0, (letter,)): c for c, letter in pairs})
+
+
+def _unitarity_relations(context: AlgebraContext, letter, letter_star,
+                         prefix: str) -> tuple[list[AlgebraElement], list[str]]:
+    """The isometry and coisometry families, as fresh relation and label lists."""
+    n = context.n
     one = AlgebraElement.one(context)
+    relations: list[AlgebraElement] = []
+    labels: list[str] = []
     for i in range(n):
         for j in range(n):
             iso = AlgebraElement.zero(context)
@@ -84,6 +109,62 @@ def _unitarity_relations(context: AlgebraContext, letter, letter_star, n: int,
             labels.append(f"{prefix}isometry({i},{j})")
             relations.append(coiso)
             labels.append(f"{prefix}coisometry({i},{j})")
+    return relations, labels
+
+
+def _z_part(context: AlgebraContext, letter, relations: list, labels: list,
+            comult: dict) -> GeneratorSym:
+    """Add the unitary z: z z* = 1, z g = zeta^(di-dj) g z for each
+    g = letter(i,j), and the group-like Delta(z) = z (x) z.  With n = 0 (the
+    circle) there is no commutation family and ``letter`` is unused."""
+    zgen = context.z(1)
+    deg = context.degrees
+    # z z* = 1 and the commutation relations normalize to the zero element:
+    # the z-counter bookkeeping absorbs them, which is the point
+    relations.append(AlgebraElement.from_raw(context, [zgen, context.z(-1)])
+                     - AlgebraElement.one(context))
+    labels.append("z_unitary")
+    for i in range(context.n):
+        for j in range(context.n):
+            lhs = AlgebraElement.from_raw(context, [zgen, letter(i, j)])
+            rhs = AlgebraElement.from_raw(context, [letter(i, j), zgen])
+            relations.append(lhs - rhs.scale(context.zeta_pow(deg[i] - deg[j])))
+            labels.append(f"commutation({i},{j})")
+    zleg = AlgebraElement.from_letter(context, zgen)
+    comult[zgen] = TensorElement.tensor(zleg, zleg)
+    return zgen
+
+
+def _matrix_comult(context: AlgebraContext, letter,
+                   twisted: bool = False) -> dict[GeneratorSym, TensorElement]:
+    """letter(i,k) -> sum_l letter(i,l) (x) letter(l,k); twisted, the second
+    leg is z^(dl-di) letter(l,k) as in the bosonisation."""
+    n, deg = context.n, context.degrees
+    comult: dict[GeneratorSym, TensorElement] = {}
+    for i in range(n):
+        for k in range(n):
+            img = TensorElement.zero(context, 2)
+            for l in range(n):
+                shift = deg[l] - deg[i] if twisted else 0
+                second = AlgebraElement.from_raw(context, [context.z(shift), letter(l, k)])
+                img = img + TensorElement.tensor(
+                    AlgebraElement.from_letter(context, letter(i, l)), second)
+            comult[letter(i, k)] = img
+    return comult
+
+
+def _braided_relations(data: OmegaData, context: AlgebraContext) -> tuple[list, list]:
+    """Unitarity and the invariance family of the braided algebra."""
+    n, deg, omega, zeta_pow = context.n, context.degrees, data.omega, context.zeta_pow
+    relations, labels = _unitarity_relations(context, context.u, context.ustar, "")
+    for i in range(n):
+        for j in range(n):
+            lhs = _linear_form(context, ((omega[i, k], context.u(j, k)) for k in range(n)))
+            rhs = _linear_form(context, ((omega[k, j], context.ustar(k, i)) for k in range(n)))
+            relations.append(lhs.scale(zeta_pow(deg[j] * deg[i]))
+                             - rhs.scale(zeta_pow(deg[j] * (data.d - deg[j]))))
+            labels.append(f"invariance({i},{j})")
+    return relations, labels
 
 
 def braided_presentation(data: OmegaData) -> Presentation:
@@ -97,86 +178,25 @@ def braided_presentation(data: OmegaData) -> Presentation:
     The comultiplication is stored in the two-leg matrix form with zero
     z-exponents.
     """
-    _require_valid(data)
-    space = data.space
-    n, deg = space.n, space.degrees
-    context = AlgebraContext(field=space.field, zeta=space.zeta, degrees=deg)
-    generators = tuple(context.u(i, j) for i in range(n) for j in range(n))
-
-    relations: list[AlgebraElement] = []
-    labels: list[str] = []
-    _unitarity_relations(context, context.u, context.ustar, n, labels, relations, "")
-    for i in range(n):
-        for j in range(n):
-            lhs = AlgebraElement.zero(context)
-            rhs = AlgebraElement.zero(context)
-            for k in range(n):
-                w_ik = data.omega[i, k]
-                if not w_ik.is_zero():
-                    lhs = lhs + AlgebraElement.from_letter(context, context.u(j, k)).scale(w_ik)
-                w_kj = data.omega[k, j]
-                if not w_kj.is_zero():
-                    rhs = rhs + AlgebraElement.from_letter(context, context.ustar(k, i)).scale(w_kj)
-            rel = (lhs.scale(space.zeta_pow(deg[j] * deg[i]))
-                   - rhs.scale(space.zeta_pow(deg[j] * (data.d - deg[j]))))
-            relations.append(rel)
-            labels.append(f"invariance({i},{j})")
-
-    comult: dict[GeneratorSym, TensorElement] = {}
-    for i in range(n):
-        for k in range(n):
-            img = TensorElement.zero(context, 2)
-            for l in range(n):
-                img = img + TensorElement.tensor(
-                    AlgebraElement.from_letter(context, context.u(i, l)),
-                    AlgebraElement.from_letter(context, context.u(l, k)))
-            comult[context.u(i, k)] = img
-    return Presentation(name="braided", context=context, generators=generators,
+    context = _graded_context(data)
+    relations, labels = _braided_relations(data, context)
+    return Presentation(name="braided", context=context,
+                        generators=_matrix_letters(context, context.u),
                         relations=tuple(relations), relation_labels=tuple(labels),
-                        comult=comult, meta=data)
+                        comult=_matrix_comult(context, context.u), meta=data)
 
 
 def bosonisation_presentation(data: OmegaData) -> Presentation:
     """The bosonisation: braided relations plus a unitary z with
     z u[i,j] = zeta^(di-dj) u[i,j] z, and the twisted comultiplication
     u[i,k] -> sum_l u[i,l] (x) z^(dl-di) u[l,k]."""
-    _require_valid(data)
-    space = data.space
-    n, deg = space.n, space.degrees
-    context = AlgebraContext(field=space.field, zeta=space.zeta, degrees=deg)
-    braided = braided_presentation(data)
-
-    relations = list(braided.relations)
-    labels = list(braided.relation_labels)
-    # z z* = 1 and the commutation relations normalize to the zero element:
-    # the z-counter bookkeeping absorbs them, which is the point
-    z_unit = (AlgebraElement.from_raw(context, [context.z(1), context.z(-1)])
-              - AlgebraElement.one(context))
-    relations.append(z_unit)
-    labels.append("z_unitary")
-    for i in range(n):
-        for j in range(n):
-            lhs = AlgebraElement.from_raw(context, [context.z(1), context.u(i, j)])
-            rhs = AlgebraElement.from_raw(context, [context.u(i, j), context.z(1)])
-            rel = lhs - rhs.scale(space.zeta_pow(deg[i] - deg[j]))
-            relations.append(rel)
-            labels.append(f"commutation({i},{j})")
-
+    context = _graded_context(data)
+    relations, labels = _braided_relations(data, context)
     comult: dict[GeneratorSym, TensorElement] = {}
-    zgen = context.z(1)
-    zleg = AlgebraElement.from_letter(context, zgen)
-    comult[zgen] = TensorElement.tensor(zleg, zleg)
-    for i in range(n):
-        for k in range(n):
-            img = TensorElement.zero(context, 2)
-            for l in range(n):
-                second = AlgebraElement.from_raw(
-                    context, [context.z(deg[l] - deg[i]), context.u(l, k)])
-                img = img + TensorElement.tensor(
-                    AlgebraElement.from_letter(context, context.u(i, l)), second)
-            comult[context.u(i, k)] = img
-    generators = tuple(context.u(i, j) for i in range(n) for j in range(n)) + (zgen,)
-    return Presentation(name="bosonisation", context=context, generators=generators,
+    zgen = _z_part(context, context.u, relations, labels, comult)
+    comult.update(_matrix_comult(context, context.u, twisted=True))
+    return Presentation(name="bosonisation", context=context,
+                        generators=_matrix_letters(context, context.u) + (zgen,),
                         relations=tuple(relations), relation_labels=tuple(labels),
                         comult=comult, meta=data)
 
@@ -190,55 +210,23 @@ def t_form_presentation(data: OmegaData) -> Presentation:
         sum_k t[j,k] (zeta^(d*di) omega[i,k])
           = z^d sum_k (zeta^(d*dk) omega[k,j]) t*[k,i].
     """
-    _require_valid(data)
-    space = data.space
-    n, deg = space.n, space.degrees
-    context = AlgebraContext(field=space.field, zeta=space.zeta, degrees=deg)
-
-    relations: list[AlgebraElement] = []
-    labels: list[str] = []
-    _unitarity_relations(context, context.x, context.xstar, n, labels, relations, "t_")
-    z_unit = (AlgebraElement.from_raw(context, [context.z(1), context.z(-1)])
-              - AlgebraElement.one(context))
-    relations.append(z_unit)
-    labels.append("z_unitary")
-    for i in range(n):
-        for j in range(n):
-            lhs = AlgebraElement.from_raw(context, [context.z(1), context.x(i, j)])
-            rhs = AlgebraElement.from_raw(context, [context.x(i, j), context.z(1)])
-            relations.append(lhs - rhs.scale(space.zeta_pow(deg[i] - deg[j])))
-            labels.append(f"commutation({i},{j})")
+    context = _graded_context(data)
+    n, deg, omega, zeta_pow = context.n, context.degrees, data.omega, context.zeta_pow
+    relations, labels = _unitarity_relations(context, context.x, context.xstar, "t_")
+    comult: dict[GeneratorSym, TensorElement] = {}
+    zgen = _z_part(context, context.x, relations, labels, comult)
     zd = AlgebraElement.monomial(context, Word(data.d, ()))
     for j in range(n):
         for i in range(n):
-            lhs = AlgebraElement.zero(context)
-            rhs = AlgebraElement.zero(context)
-            for k in range(n):
-                w_ik = data.omega[i, k]
-                if not w_ik.is_zero():
-                    coeff = space.zeta_pow(data.d * deg[i]) * w_ik
-                    lhs = lhs + AlgebraElement.from_letter(context, context.x(j, k)).scale(coeff)
-                w_kj = data.omega[k, j]
-                if not w_kj.is_zero():
-                    coeff = space.zeta_pow(data.d * deg[k]) * w_kj
-                    rhs = rhs + AlgebraElement.from_letter(context, context.xstar(k, i)).scale(coeff)
+            lhs = _linear_form(context, ((zeta_pow(data.d * deg[i]) * omega[i, k],
+                                          context.x(j, k)) for k in range(n)))
+            rhs = _linear_form(context, ((zeta_pow(data.d * deg[k]) * omega[k, j],
+                                          context.xstar(k, i)) for k in range(n)))
             relations.append(lhs - zd * rhs)
             labels.append(f"invariance({j},{i})")
-
-    comult: dict[GeneratorSym, TensorElement] = {}
-    zgen = context.z(1)
-    zleg = AlgebraElement.from_letter(context, zgen)
-    comult[zgen] = TensorElement.tensor(zleg, zleg)
-    for i in range(n):
-        for k in range(n):
-            img = TensorElement.zero(context, 2)
-            for m in range(n):
-                img = img + TensorElement.tensor(
-                    AlgebraElement.from_letter(context, context.x(i, m)),
-                    AlgebraElement.from_letter(context, context.x(m, k)))
-            comult[context.x(i, k)] = img
-    generators = tuple(context.x(i, j) for i in range(n) for j in range(n)) + (zgen,)
-    return Presentation(name="t_form", context=context, generators=generators,
+    comult.update(_matrix_comult(context, context.x))
+    return Presentation(name="t_form", context=context,
+                        generators=_matrix_letters(context, context.x) + (zgen,),
                         relations=tuple(relations), relation_labels=tuple(labels),
                         comult=comult, meta=data)
 
@@ -250,56 +238,31 @@ def aof_presentation(F: Matrix, zeta: Scalar | None = None) -> Presentation:
         F.inverse()
     except SingularMatrix as exc:
         raise ValueError("aof presentation requires an invertible matrix") from exc
-    field = F.field
     n = F.rows
-    if zeta is None:
-        zeta = field.one() if field.exact else field.from_complex(1.0)
-    context = AlgebraContext(field=field, zeta=zeta, degrees=(0,) * n)
-
-    relations: list[AlgebraElement] = []
-    labels: list[str] = []
-    _unitarity_relations(context, context.x, context.xstar, n, labels, relations, "x_")
+    context = _phase_context(F.field, zeta, (0,) * n)
+    relations, labels = _unitarity_relations(context, context.x, context.xstar, "x_")
     for i in range(n):
         for j in range(n):
-            lhs = AlgebraElement.zero(context)
-            rhs = AlgebraElement.zero(context)
-            for k in range(n):
-                f_kj = F[k, j]
-                if not f_kj.is_zero():
-                    lhs = lhs + AlgebraElement.from_letter(context, context.x(i, k)).scale(f_kj)
-                f_ik = F[i, k]
-                if not f_ik.is_zero():
-                    rhs = rhs + AlgebraElement.from_letter(context, context.xstar(k, j)).scale(f_ik)
+            lhs = _linear_form(context, ((F[k, j], context.x(i, k)) for k in range(n)))
+            rhs = _linear_form(context, ((F[i, k], context.xstar(k, j)) for k in range(n)))
             relations.append(lhs - rhs)
             labels.append(f"intertwine({i},{j})")
-
-    comult: dict[GeneratorSym, TensorElement] = {}
-    for i in range(n):
-        for j in range(n):
-            img = TensorElement.zero(context, 2)
-            for k in range(n):
-                img = img + TensorElement.tensor(
-                    AlgebraElement.from_letter(context, context.x(i, k)),
-                    AlgebraElement.from_letter(context, context.x(k, j)))
-            comult[context.x(i, j)] = img
-    generators = tuple(context.x(i, j) for i in range(n) for j in range(n))
-    return Presentation(name="aof", context=context, generators=generators,
+    return Presentation(name="aof", context=context,
+                        generators=_matrix_letters(context, context.x),
                         relations=tuple(relations), relation_labels=tuple(labels),
-                        comult=comult, meta=None)
+                        comult=_matrix_comult(context, context.x), meta=None)
 
 
 def circle_presentation(field: Field, zeta: Scalar | None = None) -> Presentation:
     """The circle algebra: one unitary generator z with Delta(z) = z (x) z."""
-    if zeta is None:
-        zeta = field.one() if field.exact else field.from_complex(1.0)
-    context = AlgebraContext(field=field, zeta=zeta, degrees=())
-    zgen = context.z(1)
-    z_unit = (AlgebraElement.from_raw(context, [context.z(1), context.z(-1)])
-              - AlgebraElement.one(context))
-    zleg = AlgebraElement.from_letter(context, zgen)
+    context = _phase_context(field, zeta, ())
+    relations: list[AlgebraElement] = []
+    labels: list[str] = []
+    comult: dict[GeneratorSym, TensorElement] = {}
+    zgen = _z_part(context, None, relations, labels, comult)
     return Presentation(name="circle", context=context, generators=(zgen,),
-                        relations=(z_unit,), relation_labels=("z_unitary",),
-                        comult={zgen: TensorElement.tensor(zleg, zleg)}, meta=None)
+                        relations=tuple(relations), relation_labels=tuple(labels),
+                        comult=comult, meta=None)
 
 
 @dataclass(frozen=True)
@@ -380,7 +343,6 @@ def projection_morphisms(data: OmegaData) -> tuple[MorphismSpec, MorphismSpec]:
     The inclusion sends z to z; the projection sends z to z and u[i,j]
     to delta_{i,j}.  Their composite is the identity on the circle.
     """
-    _require_valid(data)
     boson = bosonisation_presentation(data)
     circle = circle_presentation(data.space.field, data.space.zeta)
     b_ctx, c_ctx = boson.context, circle.context
@@ -405,8 +367,7 @@ def aof_to_tform_morphism(data: OmegaData) -> MorphismSpec:
     onto the t-form relations on the nose."""
     if data.d != 0:
         raise ValueError("the relation sets coincide only at d = 0")
-    tform = t_form_presentation(data)
-    ctx = tform.context
+    ctx = _graded_context(data)
     n = data.space.n
     assignment = {ctx.x(i, j): AlgebraElement.from_letter(ctx, ctx.x(i, j))
                   for i in range(n) for j in range(n)}

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidfoq import bosonisation_presentation, serialize_presentation, t_form_presentation
+from braidfoq import (Field, Matrix, bosonisation_presentation, serialize_presentation,
+                      t_form_presentation)
 from braidfoq.cli import main
 from braidfoq.suite import fixture_e1, fixture_e2
 
@@ -236,6 +237,38 @@ def _exit_code_on(doc, argv, tmp_path, capsys):
     return code, capsys.readouterr().err
 
 
+_SOLVE = ["solve", "--degrees", "0,0", "--d", "0", "--blocks"]
+
+
+@pytest.mark.parametrize("blocks", [{"0": "x"}, {"0": [[1]]}, [1, 2]])
+def test_malformed_solve_blocks_are_usage_errors(blocks, tmp_path, capsys):
+    code, err = _exit_code_on(blocks, _SOLVE, tmp_path, capsys)
+    assert code == 2
+    assert "malformed solve input" in err
+
+
+def test_malformed_solve_c_is_usage_error(tmp_path, capsys):
+    code, err = _exit_code_on({}, ["solve", "--c", '{"x":1}'] + _SOLVE[1:], tmp_path, capsys)
+    assert code == 2
+    assert "malformed solve input" in err
+
+
+def test_non_integer_solve_degrees_are_usage_error(tmp_path, capsys):
+    code, err = _exit_code_on({}, ["solve", "--degrees", "a,b", "--d", "0", "--blocks"],
+                              tmp_path, capsys)
+    assert code == 2
+    assert "malformed solve input" in err
+
+
+@pytest.mark.parametrize("argv", [["dims", "--k", "3", "--n", "0"],
+                                  ["dims", "--k", "3", "--n", "1"],
+                                  ["dims", "--k", "-2", "--n", "3"],
+                                  ["fuse", "--a", "1,0", "--b", "1,0", "--parity", "even",
+                                   "--n", "-3"]])
+def test_out_of_range_fusion_arguments_are_usage_errors(argv, capsys):
+    assert _exit_code(argv) == 2
+
+
 def test_zeta_with_too_few_coefficients_is_usage_error(tmp_path, capsys):
     data = fixture_e1().to_json()
     data["zeta"]["coeffs"].pop()
@@ -283,6 +316,9 @@ def test_letter_with_wrong_grading_is_usage_error(where, tmp_path, capsys):
 # -- fuzz: mutated documents keep the exit-code contract ---------------------
 
 _INSTANCE_DOCS = [fixture_e1().to_json(), fixture_e2().to_json()]
+_F8 = Field.cyclotomic(8)
+# the free block of E1, as in test_solve_from_blocks
+_BLOCKS_DOCS = [{"0": Matrix(_F8, [[_F8.root(7)]]).to_json()}]
 _PRESENTATION_DOCS = [json.loads(serialize_presentation(build(fixture_e1())))
                       for build in (bosonisation_presentation, t_form_presentation)]
 
@@ -346,3 +382,11 @@ def test_fuzzed_instance_documents_keep_the_exit_contract(argv, doc):
        _mutated(_PRESENTATION_DOCS))
 def test_fuzzed_presentation_documents_keep_the_exit_contract(argv, doc):
     _run_on_document(argv, doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([[], ["--c", json.dumps(_F8.root(1).to_json())]]),
+       _mutated(_BLOCKS_DOCS))
+def test_fuzzed_blocks_documents_keep_the_exit_contract(extra, doc):
+    _run_on_document(["solve", "--degrees", "0,1", "--d", "1", "--zeta", "6"] + extra
+                     + ["--blocks"], doc)
