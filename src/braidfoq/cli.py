@@ -12,9 +12,9 @@ import os
 import sys
 from fractions import Fraction
 
-from .freealg import coassociativity_check, intertwiner_check, well_definedness_check
+from .freealg import _intertwiner_holds, coassociativity_check, well_definedness_check
 from .fusion import FusionContext, IrrepLabel, dim, fuse, q_parameter
-from .graded import GradedSpace, OmegaData, irreducibility_test, solve_omega, \
+from .graded import GradedSpace, OmegaData, f_matrix, irreducibility_test, solve_omega, \
     triviality_scan, validate
 from .presentation import aof_presentation, bosonisation_presentation, \
     braided_presentation, deserialize_presentation, serialize_presentation, \
@@ -219,8 +219,6 @@ def _cmd_present(args) -> int:
         "tform": t_form_presentation,
     }
     if args.target == "aof":
-        from .graded import f_matrix
-
         presentation = aof_presentation(f_matrix(data))
     else:
         presentation = builders[args.target](data)
@@ -252,11 +250,15 @@ def _cmd_verify(args) -> int:
             return EXIT_UNDECIDED
         return EXIT_FAIL
     if args.check == "intertwiner":
-        if presentation.meta is None:
-            print("intertwiner check needs a presentation with instance metadata",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        passed = intertwiner_check(presentation.meta)
+        meta = presentation.meta
+        if (meta is None or presentation.name != "t_form"
+                or meta.space.n != presentation.context.n):
+            raise UsageError("intertwiner check needs a t-form presentation with instance metadata")
+        F = f_matrix(meta)
+        try:
+            passed = _intertwiner_holds(presentation, meta.d, F)
+        except KeyError as exc:
+            raise UsageError(f"the document has no t-form relation {exc}") from None
         _emit({"check": "intertwiner", "passed": passed}, args.out)
         return EXIT_OK if passed else EXIT_FAIL
     raise AssertionError(args.check)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dataclass_field
 
-from .scalar import Field, FieldMismatch, PhasePowers, Scalar
+from .scalar import Field, FieldMismatch, PhasePowers, Scalar, _RawKernel
 
 __all__ = [
     "AlgebraContext",
@@ -527,35 +527,34 @@ def _comult_image(presentation, letter: GeneratorSym, cache: dict) -> TensorElem
     return image
 
 
-def _check_group_like_z(presentation, context) -> None:
-    zgen = GeneratorSym("Z")
-    image = presentation.comult.get(zgen)
-    if image is None:
-        raise ValueError("presentation has no comultiplication for Z")
-    zw = Word(1, ())
-    expected = TensorElement(context, 2, {(zw, zw): context.field.one()})
-    if image != expected:
-        raise ValueError("z-powers extend only through the group-like image z (x) z")
+def _substitute_words(element: AlgebraElement, one, letter_image, z_image):
+    """Sum of c * letter_image(l_1) * ... * letter_image(l_k) * z_image(e) over
+    the terms c * l_1...l_k z^e of `element` (z_image only for e != 0)."""
+    out = one._like({})
+    for word, coeff in element.sorted_terms():
+        acc = one
+        for letter in word.letters:
+            acc = acc * letter_image(letter)
+        if word.zexp:
+            acc = acc * z_image(word.zexp)
+        out = out + acc.scale(coeff)
+    return out
 
 
 def apply_comult(element: AlgebraElement, presentation) -> TensorElement:
     """Extend the presentation's generator comultiplication multiplicatively."""
     context = element.context
     cache: dict = {}
-    z_checked = False
-    out = TensorElement.zero(context, 2)
-    for word, coeff in element.sorted_terms():
-        acc = TensorElement.one(context, 2)
-        for letter in word.letters:
-            acc = acc * _comult_image(presentation, letter, cache)
-        if word.zexp:
-            if not z_checked:
-                _check_group_like_z(presentation, context)
-                z_checked = True
-            zw = Word(word.zexp, ())
-            acc = acc * TensorElement(context, 2, {(zw, zw): context.field.one()})
-        out = out + acc.scale(coeff)
-    return out
+    if any(word.zexp for word in element.terms):
+        image = presentation.comult.get(GeneratorSym("Z"))
+        if image is None:
+            raise ValueError("presentation has no comultiplication for Z")
+        if image != TensorElement(context, 2, {(Word(1, ()),) * 2: context.field.one()}):
+            raise ValueError("z-powers extend only through the group-like image z (x) z")
+    return _substitute_words(
+        element, TensorElement.one(context, 2),
+        lambda letter: _comult_image(presentation, letter, cache),
+        lambda zexp: TensorElement(context, 2, {(Word(zexp, ()),) * 2: context.field.one()}))
 
 
 def expand_three_legs(t2: TensorElement, presentation, leg: int) -> TensorElement:
@@ -684,6 +683,9 @@ class IdealCertifier:
     increases, so a popped word that has already cancelled is skipped and
     a word is pushed only when it enters the vector with a pivot.
 
+    Coefficients are raw field values (``_RawKernel``), converted from and
+    back to ``Scalar`` at the boundary; exact values do not depend on it.
+
     The certifier runs in one thread; ``workers`` is accepted for
     compatibility and changes nothing.
     """
@@ -695,15 +697,17 @@ class IdealCertifier:
         self.degree_bound = degree_bound
         self.row_cap = row_cap
         self.capped = False
+        self._kernel = _RawKernel(context.field)
+        self._zeta_raw: dict[int, object] = {}  # e -> raw zeta^e
 
         # letter interning: GeneratorSym -> code, code -> letter, code -> zdeg
         self._codes: dict[GeneratorSym, int] = {}
         self._letters: dict[int, GeneratorSym] = {}
         self._zdeg: dict[int, int] = {}
 
-        # (idx, star) -> terms (word, coeff, zdeg of the word's letters) of
-        # the relation or, for star, its adjoint
-        self._oriented: dict[tuple[int, bool], list[tuple[tuple, Scalar, int]]] = {}
+        # (idx, star) -> terms (word, raw coeff, zdeg of the word's letters)
+        # of the relation or, for star, its adjoint
+        self._oriented: dict[tuple[int, bool], list[tuple[tuple, object, int]]] = {}
         # (idx, star, words in canonical order, longest word, z-exponent range)
         base: list[tuple[int, bool, list[tuple], int, int, int]] = []
         seen_keys = set()
@@ -711,7 +715,7 @@ class IdealCertifier:
             for star in (False, True):
                 elem = rel.adjoint() if star else rel
                 terms = [(self._encode(w), c) for w, c in elem.terms.items()]
-                self._oriented[(idx, star)] = [(w, c, self._word_zdeg(w))
+                self._oriented[(idx, star)] = [(w, self._kernel.raw(c), self._word_zdeg(w))
                                                for w, c in terms]
                 if not terms or max(w[1] for w, _ in terms) > degree_bound:
                     continue
@@ -726,11 +730,12 @@ class IdealCertifier:
                              max(w[1] for w, _ in terms), min(zexps), max(zexps)))
         self._base = base
 
-        # pivots: word -> (vector, row_id, recipe); the recipe records the
-        # immediate pivot hits consumed while reducing the inserted row, so
-        # full row combinations are resolved lazily per certificate
-        self._pivots: dict[tuple, tuple[dict[tuple, Scalar], int, dict[tuple, Scalar], Scalar]] = {}
-        self._combo_cache: dict[tuple, dict[int, Scalar]] = {}
+        # pivots: word -> (vector, row_id, recipe, inverse lead); the recipe
+        # records the immediate pivot hits consumed while reducing the
+        # inserted row, so full row combinations are resolved lazily per
+        # certificate
+        self._pivots: dict[tuple, tuple[dict, int, dict, object]] = {}
+        self._combo_cache: dict[tuple, dict[int, object]] = {}
         self._decorations: list[tuple[tuple, int, bool, tuple]] = []
         self._processed: set[tuple] = set()
         self._seen_rows: set[tuple] = set()
@@ -800,7 +805,7 @@ class IdealCertifier:
         found.sort(key=lambda d: (d[1], d[2], d[0], d[3]))
         return found
 
-    def _expand_row(self, decoration) -> dict[tuple, Scalar]:
+    def _expand_row(self, decoration) -> dict[tuple, object]:
         """The terms of the decorated row a * r * b.
 
         With a = la z^p and b = lb z^s, each term c * lw z^q of r becomes
@@ -811,12 +816,16 @@ class IdealCertifier:
         (p, la_len, la), idx, star, right = decoration
         s, lb_len, lb = right
         right_zdeg = self._word_zdeg(right)
-        zeta_pow = self.context.zeta_pow
-        row: dict[tuple, Scalar] = {}
+        mul, zeta_raw = self._kernel.mul, self._zeta_raw
+        row: dict[tuple, object] = {}
         for (q, w_len, lw), c, w_zdeg in self._oriented[(idx, star)]:
             e = -p * w_zdeg - (p + q) * right_zdeg
-            row[(p + q + s, la_len + w_len + lb_len, la + lw + lb)] = (
-                c if e == 0 else c * zeta_pow(e))
+            if e:
+                phase = zeta_raw.get(e)
+                if phase is None:
+                    phase = zeta_raw[e] = self._kernel.raw(self.context.zeta_pow(e))
+                c = mul(c, phase)
+            row[(p + q + s, la_len + w_len + lb_len, la + lw + lb)] = c
         return row
 
     def _ensure_closure(self, seeds) -> None:
@@ -844,13 +853,14 @@ class IdealCertifier:
 
     # elimination ---------------------------------------------------------
 
-    def _reduce_vector(self, vec: dict[tuple, Scalar]):
-        """Canonical residual of a vector and the pivot hits consumed."""
+    def _reduce_vector(self, vec: dict[tuple, object]):
+        """Canonical residual of a raw vector and the pivot hits consumed."""
         pivots = self._pivots
-        vec = {w: c for w, c in vec.items() if not c.is_zero()}
+        fms, is_zero, zero = self._kernel.fms, self._kernel.is_zero, self._kernel.zero
+        vec = {w: c for w, c in vec.items() if not is_zero(c)}
         heap = [w for w in vec if w in pivots]
         heapq.heapify(heap)
-        hits: dict[tuple, Scalar] = {}
+        hits: dict[tuple, object] = {}
         while heap:
             word = heapq.heappop(heap)
             coeff = vec.get(word)
@@ -858,8 +868,8 @@ class IdealCertifier:
                 continue
             for w, c in pivots[word][0].items():
                 prev = vec.get(w)
-                new = (-coeff * c) if prev is None else prev - coeff * c
-                if new.is_zero():
+                new = fms(zero if prev is None else prev, coeff, c)
+                if is_zero(new):
                     vec.pop(w, None)
                 else:
                     vec[w] = new
@@ -870,17 +880,17 @@ class IdealCertifier:
             hits[word] = coeff
         return vec, hits
 
-    def _insert(self, vec: dict[tuple, Scalar], row_id: int) -> None:
+    def _insert(self, vec: dict[tuple, object], row_id: int) -> None:
         residual, used = self._reduce_vector(vec)
         if not residual:
             return
         lead = min(residual)
-        inv = residual[lead].inverse()
-        vec_n = {w: inv * c for w, c in residual.items()}
+        inv, mul = self._kernel.inverse(residual[lead]), self._kernel.mul
+        vec_n = {w: mul(inv, c) for w, c in residual.items()}
         # pivot row = inv * (row_{row_id} - sum used[q] * pivot_q)
         self._pivots[lead] = (vec_n, row_id, used, inv)
 
-    def _pivot_combo(self, word: tuple) -> dict[int, Scalar]:
+    def _pivot_combo(self, word: tuple) -> dict[int, object]:
         """Resolve a pivot row as a combination of original decorated rows.
 
         Recipes always reference pivots inserted earlier, so the dependency
@@ -904,58 +914,54 @@ class IdealCertifier:
             _, row_id, used, inv = self._pivots[current]
             combo = {row_id: inv}
             for dep, coeff in used.items():
-                scale = inv * coeff
-                for rid, c in self._combo_cache[dep].items():
-                    prev = combo.get(rid)
-                    new = (-scale * c) if prev is None else prev - scale * c
-                    if new.is_zero():
-                        combo.pop(rid, None)
-                    else:
-                        combo[rid] = new
+                self._subtract_scaled(combo, self._kernel.mul(inv, coeff), self._combo_cache[dep])
             self._combo_cache[current] = combo
         return self._combo_cache[word]
 
-    def _combo_from_hits(self, hits: dict[tuple, Scalar]) -> dict[int, Scalar]:
-        combo: dict[int, Scalar] = {}
+    def _combo_from_hits(self, hits: dict[tuple, object]) -> dict[int, object]:
+        combo: dict[int, object] = {}
+        k = self._kernel
         for word, coeff in hits.items():
-            for rid, c in self._pivot_combo(word).items():
-                prev = combo.get(rid)
-                new = coeff * c if prev is None else prev + coeff * c
-                if new.is_zero():
-                    combo.pop(rid, None)
-                else:
-                    combo[rid] = new
+            # combo + coeff * c == combo - (-coeff) * c
+            self._subtract_scaled(combo, k.fms(k.zero, coeff, k.one), self._pivot_combo(word))
         return combo
+
+    def _subtract_scaled(self, combo: dict, scale, other: dict) -> None:
+        """combo -= scale * other, dropping the entries that cancel."""
+        fms, is_zero, zero = self._kernel.fms, self._kernel.is_zero, self._kernel.zero
+        for rid, c in other.items():
+            prev = combo.get(rid)
+            new = fms(zero if prev is None else prev, scale, c)
+            if is_zero(new):
+                combo.pop(rid, None)
+            else:
+                combo[rid] = new
 
     # public reduction ----------------------------------------------------
 
-    def reduce_element(self, element: AlgebraElement):
-        vec = {self._encode(w): c for w, c in element.terms.items()}
-        self._ensure_closure(vec)
-        residual, hits = self._reduce_vector(vec)
-        return (AlgebraElement(self.context, {self._decode(w): c for w, c in residual.items()}),
-                self._combo_from_hits(hits))
-
-    def _entries_from_combo(self, combo: dict[int, Scalar], leg: int,
+    def _entries_from_combo(self, combo: dict[int, object], leg: int,
                             other: Word | None) -> list[CertEntry]:
         entries = []
         for rid in sorted(combo):
             left, idx, star, right = self._decorations[rid]
             entries.append(CertEntry(leg=leg, left=self._decode(left), rel_index=idx,
                                      star=star, right=self._decode(right), other=other,
-                                     coeff=combo[rid]))
+                                     coeff=self._kernel.scalar(combo[rid])))
         return entries
 
     def certify_element(self, element: AlgebraElement) -> MembershipCertificate:
-        residual, combo = self.reduce_element(element)
-        if residual.is_zero():
+        vec = {self._encode(w): self._kernel.raw(c) for w, c in element.terms.items()}
+        self._ensure_closure(vec)
+        residual, hits = self._reduce_vector(vec)
+        if not residual:
             # sound even under a capped closure: the combination replays
+            combo = self._combo_from_hits(hits)
             return MembershipCertificate("in_ideal", self.degree_bound,
                                          tuple(self._entries_from_combo(combo, 0, None)))
         if self.capped:
             return MembershipCertificate("undecided_at_bound", self.degree_bound)
         constant = (all(w.is_identity() for w in element.terms)
-                    or all(w.is_identity() for w in residual.terms))
+                    or all(w == (0, 0, ()) for w in residual))
         verdict = "nonzero_constant_obstruction" if constant else "undecided_at_bound"
         return MembershipCertificate(verdict, self.degree_bound)
 
@@ -966,29 +972,21 @@ class IdealCertifier:
         self._ensure_closure(encoded.values())
         entries: list[CertEntry] = []
 
-        # leg-1 pass: reduce the leg-1 vector over each leg-2 monomial
-        by_leg2: dict[tuple, dict[tuple, Scalar]] = {}
-        for (w1, w2), c in target.terms.items():
-            by_leg2.setdefault(encoded[w2], {})[encoded[w1]] = c
-        middle: dict[tuple[tuple, tuple], Scalar] = {}
-        for w2 in sorted(by_leg2):
-            residual, hits = self._reduce_vector(by_leg2[w2])
-            entries.extend(self._entries_from_combo(self._combo_from_hits(hits), 1,
-                                                    self._decode(w2)))
-            for w1, c in residual.items():
-                middle[(w1, w2)] = c
-
-        # leg-2 pass on what is left
-        by_leg1: dict[tuple, dict[tuple, Scalar]] = {}
-        for (w1, w2), c in middle.items():
-            by_leg1.setdefault(w1, {})[w2] = c
-        final: dict[tuple[tuple, tuple], Scalar] = {}
-        for w1 in sorted(by_leg1):
-            residual, hits = self._reduce_vector(by_leg1[w1])
-            entries.extend(self._entries_from_combo(self._combo_from_hits(hits), 2,
-                                                    self._decode(w1)))
-            for w2, c in residual.items():
-                final[(w1, w2)] = c
+        # leg 1 is reduced over each leg-2 monomial, then leg 2 over each
+        # leg-1 monomial of what is left
+        final = {(encoded[w1], encoded[w2]): self._kernel.raw(c)
+                 for (w1, w2), c in target.terms.items()}
+        for leg in (1, 2):
+            by_other: dict[tuple, dict[tuple, object]] = {}
+            for pair, c in final.items():
+                by_other.setdefault(pair[2 - leg], {})[pair[leg - 1]] = c
+            final = {}
+            for other in sorted(by_other):
+                residual, hits = self._reduce_vector(by_other[other])
+                entries.extend(self._entries_from_combo(self._combo_from_hits(hits), leg,
+                                                        self._decode(other)))
+                for w, c in residual.items():
+                    final[(w, other) if leg == 1 else (other, w)] = c
 
         if not final:
             # sound even under a capped closure: the combination replays
@@ -1063,22 +1061,25 @@ def intertwiner_check(data, f_override=None) -> bool:
     is how mutation tests confirm the identity pins F.
     """
     from .graded import f_matrix
-    from .presentation import _linear_form, t_form_presentation
+    from .presentation import t_form_presentation
 
-    presentation = t_form_presentation(data)
-    context = presentation.context
     F = f_matrix(data) if f_override is None else f_override
-    n = data.space.n
-    zd = AlgebraElement.monomial(context, Word(data.d, ()))
-    generated = {}
-    for idx, label in enumerate(presentation.relation_labels):
-        if label.startswith("invariance"):
-            coords = label[label.index("(") + 1:-1].split(",")
-            generated[(int(coords[0]), int(coords[1]))] = presentation.relations[idx]
+    return _intertwiner_holds(t_form_presentation(data), data.d, F)
+
+
+def _intertwiner_holds(presentation, d: int, F) -> bool:
+    """t*F = z^d*F*conj(t) against a t-form presentation's relations
+    ``invariance(j,i)``; a missing one raises KeyError."""
+    from .presentation import _linear_form
+
+    context = presentation.context
+    n = context.n
+    zd = AlgebraElement.monomial(context, Word(d, ()))
+    relations = dict(zip(presentation.relation_labels, presentation.relations))
     for j in range(n):
         for i in range(n):
             lhs = _linear_form(context, ((F[k, i], context.x(j, k)) for k in range(n)))
             rhs = _linear_form(context, ((F[j, k], context.xstar(k, i)) for k in range(n)))
-            if lhs - zd * rhs != generated[(j, i)]:
+            if lhs - zd * rhs != relations[f"invariance({j},{i})"]:
                 return False
     return True

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 
 from .freealg import (AlgebraContext, AlgebraElement, GeneratorSym, TensorElement,
-                      Word)
+                      Word, _substitute_words)
 from .graded import OmegaData, f_matrix, validate
 from .scalar import Field, Matrix, Scalar, SingularMatrix
 
@@ -290,32 +290,28 @@ def apply_morphism(morphism: MorphismSpec, element: AlgebraElement,
     z-powers in a word are sent through the image of Z, which must be a
     single invertible monomial for negative powers to make sense.
     """
-    out = AlgebraElement.zero(target_context)
     z_gen = next((g for g in morphism.assignment if g.kind == "Z"), None)
-    for word, coeff in element.sorted_terms():
-        acc = AlgebraElement.one(target_context)
-        for letter in word.letters:
-            image = morphism.assignment.get(letter)
-            if image is None:
-                base = morphism.assignment.get(letter.star())
-                if base is None:
-                    raise ValueError(f"assignment is missing {letter.display()}")
-                image = base.adjoint()
-            acc = acc * image
-        if word.zexp:
-            if z_gen is None:
-                raise ValueError("assignment is missing Z")
-            zimg = morphism.assignment[z_gen]
-            terms = zimg.sorted_terms()
-            if len(terms) != 1 or terms[0][0].letters:
-                raise ValueError("the image of Z must be a z-monomial")
-            zword, zcoeff = terms[0]
-            powered = AlgebraElement.monomial(
-                target_context, Word(zword.zexp * word.zexp, ()),
-                zcoeff ** word.zexp)
-            acc = acc * powered
-        out = out + acc.scale(coeff)
-    return out
+
+    def letter_image(letter: GeneratorSym) -> AlgebraElement:
+        image = morphism.assignment.get(letter)
+        if image is None:
+            base = morphism.assignment.get(letter.star())
+            if base is None:
+                raise ValueError(f"assignment is missing {letter.display()}")
+            image = base.adjoint()
+        return image
+
+    def z_image(zexp: int) -> AlgebraElement:
+        if z_gen is None:
+            raise ValueError("assignment is missing Z")
+        terms = morphism.assignment[z_gen].sorted_terms()
+        if len(terms) != 1 or terms[0][0].letters:
+            raise ValueError("the image of Z must be a z-monomial")
+        zword, zcoeff = terms[0]
+        return AlgebraElement.monomial(target_context, Word(zword.zexp * zexp, ()),
+                                       zcoeff ** zexp)
+
+    return _substitute_words(element, AlgebraElement.one(target_context), letter_image, z_image)
 
 
 def check_morphism(morphism: MorphismSpec, source: Presentation,
@@ -378,21 +374,20 @@ def substitute_t_generators(element: AlgebraElement, data: OmegaData,
                             boson_context: AlgebraContext) -> AlgebraElement:
     """Substitute t[i,j] = z^(d_i) u[i,j] and z-normalize."""
     deg = data.space.degrees
-    out = AlgebraElement.zero(boson_context)
-    for word, coeff in element.sorted_terms():
-        acc = AlgebraElement.monomial(boson_context, Word(0, ()))
-        for letter in word.letters:
-            if letter.kind == "X":
-                raw = [boson_context.z(deg[letter.i]), boson_context.u(letter.i, letter.j)]
-            elif letter.kind == "Xstar":
-                raw = [boson_context.ustar(letter.i, letter.j), boson_context.z(-deg[letter.i])]
-            else:
-                raise ValueError("substitution applies to t-generator words")
-            acc = acc * AlgebraElement.from_raw(boson_context, raw)
-        if word.zexp:
-            acc = acc * AlgebraElement.monomial(boson_context, Word(word.zexp, ()))
-        out = out + acc.scale(coeff)
-    return out
+
+    def letter_image(letter: GeneratorSym) -> AlgebraElement:
+        if letter.kind == "X":
+            raw = [boson_context.z(deg[letter.i]), boson_context.u(letter.i, letter.j)]
+        elif letter.kind == "Xstar":
+            raw = [boson_context.ustar(letter.i, letter.j), boson_context.z(-deg[letter.i])]
+        else:
+            raise ValueError("substitution applies to t-generator words")
+        return AlgebraElement.from_raw(boson_context, raw)
+
+    def z_image(zexp: int) -> AlgebraElement:
+        return AlgebraElement.monomial(boson_context, Word(zexp, ()))
+
+    return _substitute_words(element, AlgebraElement.one(boson_context), letter_image, z_image)
 
 
 # -- serialization -----------------------------------------------------------

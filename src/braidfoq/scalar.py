@@ -14,7 +14,8 @@ import cmath
 import math
 import threading
 from fractions import Fraction
-from operator import add as _add, neg as _neg, sub as _sub
+from functools import cached_property
+from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
 
 __all__ = [
     "Field",
@@ -27,6 +28,8 @@ __all__ = [
 ]
 
 MAX_CYCLOTOMIC_ORDER = 1 << 16
+# above this degree the generated multiply costs more to build than it saves
+_GENERATED_MAX_DEGREE = 16
 
 
 class FieldMismatch(ValueError):
@@ -159,6 +162,95 @@ class _CycloTable:
             w = 2.0 * math.pi / self.order
             self._basis_values = [cmath.exp(1j * w * k) for k in range(self.degree)]
         return self._basis_values
+
+    # mul(x, y) == x * y and fms(p, x, y) == p - x * y on raw values (see
+    # _RawKernel), each built on first use: fields the certifier never sees
+    # pay for no fms
+    mul = cached_property(lambda self: self._kernel("mul"))
+    fms = cached_property(lambda self: self._kernel("fms"))
+
+    def _kernel(self, name: str):
+        self.power(2 * self.degree - 2)  # outside the lock, which power() takes
+        with self._lock:
+            if self.degree <= _GENERATED_MAX_DEGREE:
+                return _generated_kernel(self, name)
+            return _loop_kernel(self)[name]
+
+
+def _normalised_raw(num: list[int], den: int) -> tuple[int, ...]:
+    """The raw value num/den, den > 0, normalised as ``_normalised`` does."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+    return (*num, den)
+
+
+def _loop_kernel(table: _CycloTable) -> dict:
+    """mul and fms as a sparse convolution loop."""
+    deg, sparse_power = table.degree, table.sparse_power
+
+    def mul(x, y):
+        # integer convolution; x^k for k >= degree is reduced mod Phi_N
+        acc = [0] * deg
+        terms = [(j, b) for j, b in enumerate(y[:deg]) if b]
+        for i, a in enumerate(x[:deg]):
+            if a:
+                for j, b in terms:
+                    k = i + j
+                    if k < deg:
+                        acc[k] += a * b
+                    else:
+                        for m, r in sparse_power(k):
+                            acc[m] += a * b * r
+        return _normalised_raw(acc, x[deg] * y[deg])
+
+    def fms(p, x, y):
+        q = mul(x, y)
+        pden, qden = p[deg], q[deg]
+        return _normalised_raw([a * qden - b * pden for a, b in zip(p, q[:deg])], pden * qden)
+
+    return {"mul": mul, "fms": fms}
+
+
+def _generated_kernel(table: _CycloTable, name: str):
+    """mul or fms as straight-line code for this order: a convolution with
+    one ``if a_i:`` block per coordinate of x, then one reduction row per
+    coordinate read from x^k mod Phi_N; a denominator of 1 skips the gcd."""
+    deg = table.degree
+    n = [f"n{i}" for i in range(deg)]
+    nums = ", ".join(n)
+    product = [f"    {', '.join(f'a{i}' for i in range(deg))}, da = x",
+               f"    {', '.join(f'b{j}' for j in range(deg))}, db = y",
+               "    " + " = ".join(f"c{k}" for k in range(2 * deg - 1)) + " = 0"]
+    for i in range(deg):
+        product.append(f"    if a{i}:")
+        product.extend(f"        c{i + j} += a{i} * b{j}" for j in range(deg))
+    for m in range(deg):
+        row = f"    n{m} = c{m}"
+        for k in range(deg, 2 * deg - 1):
+            r = table.power(k)[m]
+            if r:
+                sign, size = ("+" if r > 0 else "-"), abs(r)
+                row += f" {sign} c{k}" if size == 1 else f" {sign} {size} * c{k}"
+        product.append(row)
+    product.append("    den = da * db")
+    normalise = ["    if den == 1:", f"        return ({nums}, 1)",
+                 f"    g = gcd(den, {nums})",
+                 "    if g == 1:", f"        return ({nums}, den)",
+                 f"    return ({', '.join(f'{v} // g' for v in n)}, den // g)"]
+    if name == "mul":
+        lines = ["def mul(x, y):", *product, *normalise]
+    else:
+        lines = ["def fms(p, x, y):", *product,
+                 f"    {', '.join(f'p{i}' for i in range(deg))}, dp = p",
+                 "    if dp == den:", *(f"        n{i} = p{i} - n{i}" for i in range(deg)),
+                 "    else:", *(f"        n{i} = p{i} * den - n{i} * dp" for i in range(deg)),
+                 "        den *= dp", *normalise]
+    namespace = {"gcd": math.gcd}
+    exec(compile("\n".join(lines), f"<kernel Q(zeta_{table.order})>", "exec"), namespace)
+    return namespace[name]
 
 
 _TABLE_CACHE: dict[int, _CycloTable] = {}
@@ -314,6 +406,55 @@ def _normalised(field: Field, num: tuple[int, ...], den: int) -> "Scalar":
     return Scalar(field, num, den)
 
 
+def _additive(op):
+    """Scalar.__add__ (op = operator.add) or Scalar.__sub__ (operator.sub)."""
+    def method(self: "Scalar", other: "Scalar") -> "Scalar":
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            self._check(other)
+        num = self.num
+        if num is None:
+            return Scalar(field, value=op(self.value, other.value))
+        den, oden = self.den, other.den
+        if den == oden:
+            num = tuple(map(op, num, other.num))
+            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
+        num = tuple(map(op, [a * oden for a in num], [b * den for b in other.num]))
+        return _normalised(field, num, den * oden)
+    return method
+
+
+class _RawKernel:
+    """mul(x, y) = x * y, fms(p, x, y) = p - x * y, a zero test and the
+    inverse on raw values, for loops that would otherwise build a Scalar per
+    operation; ``raw`` and ``scalar`` convert at the boundary.  An exact raw
+    value is the flat tuple (n_0, ..., n_{d-1}, den) of a Scalar's numerators
+    and denominator, normalised the same way, so zero is (0, ..., 0, 1); an
+    approx raw value is the complex."""
+
+    __slots__ = ("field", "zero", "one", "mul", "fms", "is_zero")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.zero, self.one = self.raw(field.zero()), self.raw(field.one())
+        if field.exact:
+            self.mul, self.fms, self.is_zero = field._table.mul, field._table.fms, self.zero.__eq__
+        else:
+            self.mul, self.fms = _mul, lambda p, x, y: p - x * y
+            self.is_zero = lambda v, tolerance=field.tolerance: abs(v) <= tolerance
+
+    @staticmethod
+    def raw(s: "Scalar"):
+        return s.value if s.num is None else (*s.num, s.den)
+
+    def scalar(self, v) -> "Scalar":
+        field = self.field
+        return Scalar(field, v[:-1], v[-1]) if field.exact else Scalar(field, value=v)
+
+    def inverse(self, v):
+        return self.raw(self.scalar(v).inverse())
+
+
 class Scalar:
     """Immutable field element: exact numerators over one denominator, or a
     complex double.
@@ -360,33 +501,8 @@ class Scalar:
 
     # arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "Scalar") -> "Scalar":
-        field = self.field
-        if type(other) is not Scalar or other.field is not field:
-            self._check(other)
-        num = self.num
-        if num is None:
-            return Scalar(field, value=self.value + other.value)
-        den, oden = self.den, other.den
-        if den == oden:
-            num = tuple(map(_add, num, other.num))
-            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
-        return _normalised(field, tuple([a * oden + b * den for a, b in zip(num, other.num)]),
-                           den * oden)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        field = self.field
-        if type(other) is not Scalar or other.field is not field:
-            self._check(other)
-        num = self.num
-        if num is None:
-            return Scalar(field, value=self.value - other.value)
-        den, oden = self.den, other.den
-        if den == oden:
-            num = tuple(map(_sub, num, other.num))
-            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
-        return _normalised(field, tuple([a * oden - b * den for a, b in zip(num, other.num)]),
-                           den * oden)
+    __add__ = _additive(_add)
+    __sub__ = _additive(_sub)
 
     def __neg__(self) -> "Scalar":
         if self.num is not None:
@@ -399,23 +515,8 @@ class Scalar:
             self._check(other)
         if self.num is None:
             return Scalar(field, value=self.value * other.value)
-        # integer convolution; x^k for k >= degree is reduced mod Phi_N
-        table = field._table
-        deg = table.degree
-        acc = [0] * deg
-        terms = [(j, b) for j, b in enumerate(other.num) if b]
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in terms:
-                    k = i + j
-                    if k < deg:
-                        acc[k] += a * b
-                    else:
-                        prod = a * b
-                        for m, r in table.sparse_power(k):
-                            acc[m] += prod * r
-        den = self.den * other.den
-        return Scalar(field, tuple(acc)) if den == 1 else _normalised(field, tuple(acc), den)
+        raw = field._table.mul((*self.num, self.den), (*other.num, other.den))
+        return Scalar(field, raw[:-1], raw[-1])
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()

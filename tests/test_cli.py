@@ -138,6 +138,26 @@ def test_verify_intertwiner(e1_file, tmp_path, capsys):
     assert main(["verify", "--check", "intertwiner", str(pres)]) == 0
 
 
+def test_verify_intertwiner_reads_the_document_relations(e1_file, tmp_path, capsys):
+    pres = tmp_path / "tform.json"
+    main(["present", "--target", "tform", e1_file, "--out", str(pres)])
+    capsys.readouterr()
+    data = json.loads(pres.read_text())
+    data["relations"][data["relation_labels"].index("invariance(0,0)")] = []
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(data))
+    assert main(["verify", "--check", "intertwiner", str(tampered)]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_verify_intertwiner_needs_t_form_relations(e1_file, tmp_path, capsys):
+    pres = tmp_path / "boson.json"
+    main(["present", "--target", "boson", e1_file, "--out", str(pres)])
+    capsys.readouterr()
+    assert main(["verify", "--check", "intertwiner", str(pres)]) == 2
+    assert "t-form" in capsys.readouterr().err
+
+
 def test_qparam(e2_file, capsys):
     assert main(["qparam", e2_file]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -510,7 +510,8 @@ def test_fast_path_row_equals_generic_product(decoration_cases, case, data):
                 * AlgebraElement.monomial(ctx, right))
     # monomial multiplication is injective: no terms merge or vanish
     assert len(row) == len(rel.terms)
-    assert AlgebraElement(ctx, {certifier._decode(w): c for w, c in row.items()}) == expected
+    scalar = certifier._kernel.scalar
+    assert AlgebraElement(ctx, {certifier._decode(w): scalar(c) for w, c in row.items()}) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -560,6 +561,7 @@ def e1_bound3_certifier(e1):
 def _min_scan_reduce(certifier, vec):
     """Reference reduction: scan for the least pivot word by ``Word.key`` each step."""
     pivots = certifier._pivots
+    scalar = certifier._kernel.scalar
     vec = {w: c for w, c in vec.items() if not c.is_zero()}
     hits = {}
     while True:
@@ -569,7 +571,7 @@ def _min_scan_reduce(certifier, vec):
         word = min(pivoted, key=lambda w: certifier._decode(w).key())
         coeff = vec[word]
         for w, c in pivots[word][0].items():
-            new = vec.get(w, certifier.context.field.zero()) - coeff * c
+            new = vec.get(w, certifier.context.field.zero()) - coeff * scalar(c)
             if new.is_zero():
                 vec.pop(w, None)
             else:
@@ -582,6 +584,7 @@ def _min_scan_reduce(certifier, vec):
 def test_heap_reduction_matches_min_scan(e1_bound3_certifier, data):
     certifier, columns = e1_bound3_certifier
     field = certifier.context.field
+    raw, scalar = certifier._kernel.raw, certifier._kernel.scalar
     coeff = st.integers(0, 7).map(field.root)
     # random column words plus random multiples of pivot rows, so that
     # reductions cancel words and revisit words already touched
@@ -591,8 +594,10 @@ def test_heap_reduction_matches_min_scan(e1_bound3_certifier, data):
     for lead in data.draw(st.lists(st.sampled_from(leads), max_size=4)):
         scale = data.draw(coeff)
         for w, c in certifier._pivots[lead][0].items():
-            vec[w] = vec.get(w, field.zero()) + scale * c
-    residual, hits = certifier._reduce_vector(dict(vec))
+            vec[w] = vec.get(w, field.zero()) + scale * scalar(c)
+    residual, hits = certifier._reduce_vector({w: raw(c) for w, c in vec.items()})
+    residual = {w: scalar(c) for w, c in residual.items()}
+    hits = {w: scalar(c) for w, c in hits.items()}
     expected_residual, expected_hits = _min_scan_reduce(certifier, vec)
     assert residual == expected_residual
     assert list(hits.items()) == list(expected_hits.items())

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidfoq import Field, FieldMismatch, Matrix, Scalar, SingularMatrix
+from braidfoq.scalar import _RawKernel
 
 
 def test_root_of_unity_order(f8):
@@ -190,8 +191,10 @@ def test_approx_singular_matrix():
 # Phi_N as {exponent: coefficient}, written out here rather than taken from
 # the library; 48 and 120 are the embedding targets of 24 and 60
 _CYCLOTOMIC = {
+    4: {0: 1, 2: 1},
     8: {0: 1, 4: 1},
     12: {0: 1, 2: -1, 4: 1},
+    16: {0: 1, 8: 1},
     24: {0: 1, 4: -1, 8: 1},
     48: {0: 1, 8: -1, 16: 1},
     60: {0: 1, 2: 1, 6: -1, 8: -1, 10: -1, 14: 1, 16: 1},
@@ -290,3 +293,61 @@ def test_exact_kernel_matches_fraction_reference(data):
     else:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
+
+
+# -- the certifier's raw multiply kernel against the same reference ----------
+
+
+@st.composite
+def _kernel_operand(draw, order):
+    """Reference coordinates: a monomial, a dense vector with mixed
+    denominators, or a dense integer vector (denominator 1)."""
+    deg = max(_CYCLOTOMIC[order])
+    if draw(st.booleans()):
+        return [Fraction(c) for c in draw(st.lists(st.integers(-9, 9),
+                                                   min_size=deg, max_size=deg))]
+    return draw(_operand(order))
+
+
+# 4 to 60 run generated straight-line code; 120 (degree 32) the sparse loop
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_raw_kernel_matches_fraction_reference(data):
+    order = data.draw(st.sampled_from((4, 8, 12, 16, 24, 48, 60, 120)))
+    field = Field.cyclotomic(order)
+    kernel = _RawKernel(field)
+    ra, rb, rp = (data.draw(_kernel_operand(order)) for _ in range(3))
+    a, b, p = (kernel.raw(field.from_coeffs(r)) for r in (ra, rb, rp))
+    product = _ref_mul(ra, rb, order)
+
+    def expect(got, coeffs):
+        # the raw tuple is the normalised Scalar's numerators and denominator
+        assert got == kernel.raw(field.from_coeffs(coeffs))
+        assert got[-1] > 0 and math.gcd(*got) == 1
+        assert kernel.is_zero(got) == (not any(coeffs))
+
+    expect(kernel.mul(a, b), product)
+    expect(kernel.fms(p, a, b), [x - y for x, y in zip(rp, product)])
+    # a difference that cancels comes out as 0/1, whatever the denominators
+    expect(kernel.fms(kernel.mul(a, b), a, b), [Fraction(0)] * field.degree)
+    assert kernel.fms(kernel.mul(a, b), b, a) == kernel.zero == (0,) * field.degree + (1,)
+    expect(kernel.fms(kernel.zero, a, kernel.one), [-x for x in ra])
+    assert kernel.scalar(kernel.mul(a, b)) == field.from_coeffs(ra) * field.from_coeffs(rb)
+    if any(ra):
+        expect(kernel.mul(a, kernel.inverse(a)), [Fraction(1)] + [Fraction(0)] * (field.degree - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.complex_numbers(max_magnitude=1e3), st.complex_numbers(max_magnitude=1e3),
+       st.complex_numbers(max_magnitude=1e3))
+def test_raw_kernel_on_an_approx_field(p, x, y):
+    field = Field.approx(1e-9)
+    kernel = _RawKernel(field)
+    assert kernel.raw(field.from_complex(x)) == x
+    assert kernel.scalar(x) == field.from_complex(x)
+    assert kernel.mul(x, y) == (field.from_complex(x) * field.from_complex(y)).value
+    assert kernel.fms(p, x, y) == p - x * y
+    assert kernel.is_zero(kernel.zero) and kernel.is_zero(5e-10) and not kernel.is_zero(2e-9)
+    assert kernel.is_zero(kernel.fms(x * y, x, y))
+    if abs(x) > 1e-9:
+        assert kernel.inverse(x) == field.from_complex(x).inverse().value
