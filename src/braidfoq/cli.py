@@ -250,15 +250,14 @@ def _cmd_verify(args) -> int:
             return EXIT_UNDECIDED
         return EXIT_FAIL
     if args.check == "intertwiner":
-        meta = presentation.meta
-        if (meta is None or presentation.name != "t_form"
-                or meta.space.n != presentation.context.n):
-            raise UsageError("intertwiner check needs a t-form presentation with instance metadata")
-        F = f_matrix(meta)
-        try:
-            passed = _intertwiner_holds(presentation, meta.d, F)
-        except KeyError as exc:
-            raise UsageError(f"the document has no t-form relation {exc}") from None
+        meta, n = presentation.meta, presentation.context.n
+        wanted = {f"invariance({j},{i})" for j in range(n) for i in range(n)}
+        if (meta is None or presentation.name != "t_form" or meta.space.n != n
+                or meta.space.field != presentation.context.field
+                or not wanted.issubset(presentation.relation_labels)):
+            raise UsageError("intertwiner check needs a t-form presentation with every "
+                             "invariance(j,i) relation and instance metadata over its field")
+        passed = _intertwiner_holds(presentation, meta.d, f_matrix(meta))
         _emit({"check": "intertwiner", "passed": passed}, args.out)
         return EXIT_OK if passed else EXIT_FAIL
     raise AssertionError(args.check)

@@ -683,8 +683,7 @@ class IdealCertifier:
     increases, so a popped word that has already cancelled is skipped and
     a word is pushed only when it enters the vector with a pivot.
 
-    Coefficients are raw field values (``_RawKernel``), converted from and
-    back to ``Scalar`` at the boundary; exact values do not depend on it.
+    Coefficients are raw ``_RawKernel`` values, converted at the boundary.
 
     The certifier runs in one thread; ``workers`` is accepted for
     compatibility and changes nothing.
@@ -731,9 +730,8 @@ class IdealCertifier:
         self._base = base
 
         # pivots: word -> (vector, row_id, recipe, inverse lead); the recipe
-        # records the immediate pivot hits consumed while reducing the
-        # inserted row, so full row combinations are resolved lazily per
-        # certificate
+        # records the pivot hits consumed while reducing the inserted row, so
+        # full row combinations are resolved lazily per certificate
         self._pivots: dict[tuple, tuple[dict, int, dict, object]] = {}
         self._combo_cache: dict[tuple, dict[int, object]] = {}
         self._decorations: list[tuple[tuple, int, bool, tuple]] = []

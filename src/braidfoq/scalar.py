@@ -114,8 +114,9 @@ def _poly_inverse(num, modulus: list[int]) -> tuple[list[int], int]:
 class _CycloTable:
     """Per-order reduction data shared by all scalars of one field.
 
-    The power table extends lazily under a lock so scalars stay safe to
-    share between threads.
+    The power table and the kernels extend lazily under a reentrant lock, so
+    scalars stay safe to share between threads and a kernel can read powers
+    it has not built yet.
     """
 
     def __init__(self, order: int):
@@ -130,7 +131,7 @@ class _CycloTable:
             vec = [0] * self.degree
             vec[k] = 1
             self._powers.append(tuple(vec))
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         # k mod order -> the nonzero (coordinate, value) pairs of x^k
         self._sparse: dict[int, tuple[tuple[int, int], ...]] = {}
         self._basis_values: list[complex] | None = None
@@ -163,14 +164,12 @@ class _CycloTable:
             self._basis_values = [cmath.exp(1j * w * k) for k in range(self.degree)]
         return self._basis_values
 
-    # mul(x, y) == x * y and fms(p, x, y) == p - x * y on raw values (see
-    # _RawKernel), each built on first use: fields the certifier never sees
-    # pay for no fms
+    # x * y and p - x * y on raw values (see _RawKernel), each built on first
+    # use, so fields the certifier never sees pay for no fms
     mul = cached_property(lambda self: self._kernel("mul"))
     fms = cached_property(lambda self: self._kernel("fms"))
 
     def _kernel(self, name: str):
-        self.power(2 * self.degree - 2)  # outside the lock, which power() takes
         with self._lock:
             if self.degree <= _GENERATED_MAX_DEGREE:
                 return _generated_kernel(self, name)
@@ -406,31 +405,12 @@ def _normalised(field: Field, num: tuple[int, ...], den: int) -> "Scalar":
     return Scalar(field, num, den)
 
 
-def _additive(op):
-    """Scalar.__add__ (op = operator.add) or Scalar.__sub__ (operator.sub)."""
-    def method(self: "Scalar", other: "Scalar") -> "Scalar":
-        field = self.field
-        if type(other) is not Scalar or other.field is not field:
-            self._check(other)
-        num = self.num
-        if num is None:
-            return Scalar(field, value=op(self.value, other.value))
-        den, oden = self.den, other.den
-        if den == oden:
-            num = tuple(map(op, num, other.num))
-            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
-        num = tuple(map(op, [a * oden for a in num], [b * den for b in other.num]))
-        return _normalised(field, num, den * oden)
-    return method
-
-
 class _RawKernel:
     """mul(x, y) = x * y, fms(p, x, y) = p - x * y, a zero test and the
-    inverse on raw values, for loops that would otherwise build a Scalar per
-    operation; ``raw`` and ``scalar`` convert at the boundary.  An exact raw
-    value is the flat tuple (n_0, ..., n_{d-1}, den) of a Scalar's numerators
-    and denominator, normalised the same way, so zero is (0, ..., 0, 1); an
-    approx raw value is the complex."""
+    inverse on raw values, converted at the boundary by ``raw`` and
+    ``scalar``.  An exact raw value is a Scalar's flat, normalised
+    (n_0, ..., n_{d-1}, den), so zero is (0, ..., 0, 1); an approx one is
+    the complex."""
 
     __slots__ = ("field", "zero", "one", "mul", "fms", "is_zero")
 
@@ -448,8 +428,7 @@ class _RawKernel:
         return s.value if s.num is None else (*s.num, s.den)
 
     def scalar(self, v) -> "Scalar":
-        field = self.field
-        return Scalar(field, v[:-1], v[-1]) if field.exact else Scalar(field, value=v)
+        return Scalar(self.field, v[:-1], v[-1]) if self.field.exact else Scalar(self.field, value=v)
 
     def inverse(self, v):
         return self.raw(self.scalar(v).inverse())
@@ -501,8 +480,33 @@ class Scalar:
 
     # arithmetic -------------------------------------------------------
 
-    __add__ = _additive(_add)
-    __sub__ = _additive(_sub)
+    def __add__(self, other: "Scalar") -> "Scalar":
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            self._check(other)
+        num = self.num
+        if num is None:
+            return Scalar(field, value=self.value + other.value)
+        den, oden = self.den, other.den
+        if den == oden:
+            num = tuple(map(_add, num, other.num))
+            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
+        return _normalised(field, tuple([a * oden + b * den for a, b in zip(num, other.num)]),
+                           den * oden)
+
+    def __sub__(self, other: "Scalar") -> "Scalar":
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            self._check(other)
+        num = self.num
+        if num is None:
+            return Scalar(field, value=self.value - other.value)
+        den, oden = self.den, other.den
+        if den == oden:
+            num = tuple(map(_sub, num, other.num))
+            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
+        return _normalised(field, tuple([a * oden - b * den for a, b in zip(num, other.num)]),
+                           den * oden)
 
     def __neg__(self) -> "Scalar":
         if self.num is not None:

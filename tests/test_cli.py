@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from braidfoq import (Field, Matrix, bosonisation_presentation, serialize_presentation,
                       t_form_presentation)
+from braidfoq.graded import GradedSpace, OmegaData
 from braidfoq.cli import main
 from braidfoq.suite import fixture_e1, fixture_e2
 
@@ -156,6 +157,22 @@ def test_verify_intertwiner_needs_t_form_relations(e1_file, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--check", "intertwiner", str(pres)]) == 2
     assert "t-form" in capsys.readouterr().err
+
+
+def test_verify_intertwiner_needs_meta_over_the_context_field(e1_file, tmp_path, capsys):
+    pres = tmp_path / "tform.json"
+    main(["present", "--target", "tform", e1_file, "--out", str(pres)])
+    capsys.readouterr()
+    data = json.loads(pres.read_text())
+    e1, f16 = fixture_e1(), Field.cyclotomic(16)
+    space = GradedSpace(n=e1.space.n, degrees=e1.space.degrees,
+                        zeta=e1.space.zeta.embed_into(f16), field=f16)
+    data["meta"] = OmegaData(space=space, d=e1.d,
+                             omega=e1.omega.map_entries(lambda s: s.embed_into(f16), f16)).to_json()
+    mismatched = tmp_path / "mismatched.json"
+    mismatched.write_text(json.dumps(data))
+    assert main(["verify", "--check", "intertwiner", str(mismatched)]) == 2
+    assert "field" in capsys.readouterr().err
 
 
 def test_qparam(e2_file, capsys):

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidfoq import Field, FieldMismatch, Matrix, Scalar, SingularMatrix
-from braidfoq.scalar import _RawKernel
+from braidfoq.scalar import _CycloTable, _RawKernel
 
 
 def test_root_of_unity_order(f8):
@@ -192,7 +193,9 @@ def test_approx_singular_matrix():
 # the library; 48 and 120 are the embedding targets of 24 and 60
 _CYCLOTOMIC = {
     4: {0: 1, 2: 1},
+    5: {0: 1, 1: 1, 2: 1, 3: 1, 4: 1},
     8: {0: 1, 4: 1},
+    9: {0: 1, 3: 1, 6: 1},
     12: {0: 1, 2: -1, 4: 1},
     16: {0: 1, 8: 1},
     24: {0: 1, 4: -1, 8: 1},
@@ -309,11 +312,12 @@ def _kernel_operand(draw, order):
     return draw(_operand(order))
 
 
-# 4 to 60 run generated straight-line code; 120 (degree 32) the sparse loop
+# 4 to 60 run generated straight-line code; 120 (degree 32) the sparse loop;
+# in the odd orders 5 and 9 the reduction rows wrap round the order
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_raw_kernel_matches_fraction_reference(data):
-    order = data.draw(st.sampled_from((4, 8, 12, 16, 24, 48, 60, 120)))
+    order = data.draw(st.sampled_from((4, 5, 8, 9, 12, 16, 24, 48, 60, 120)))
     field = Field.cyclotomic(order)
     kernel = _RawKernel(field)
     ra, rb, rp = (data.draw(_kernel_operand(order)) for _ in range(3))
@@ -327,6 +331,7 @@ def test_raw_kernel_matches_fraction_reference(data):
         assert kernel.is_zero(got) == (not any(coeffs))
 
     expect(kernel.mul(a, b), product)
+    assert list((field.from_coeffs(ra) * field.from_coeffs(rb)).coeffs) == product
     expect(kernel.fms(p, a, b), [x - y for x, y in zip(rp, product)])
     # a difference that cancels comes out as 0/1, whatever the denominators
     expect(kernel.fms(kernel.mul(a, b), a, b), [Fraction(0)] * field.degree)
@@ -335,6 +340,38 @@ def test_raw_kernel_matches_fraction_reference(data):
     assert kernel.scalar(kernel.mul(a, b)) == field.from_coeffs(ra) * field.from_coeffs(rb)
     if any(ra):
         expect(kernel.mul(a, kernel.inverse(a)), [Fraction(1)] + [Fraction(0)] * (field.degree - 1))
+
+
+@pytest.mark.parametrize("order", [5, 7, 9, 17, 21])
+def test_kernel_builds_in_orders_whose_reduction_wraps(order):
+    # 2 * degree - 2 >= order: the kernel reads powers x^k, k reduced modulo
+    # the order, that a fresh table has not built when it takes its lock.
+    # _kernel is called directly, so a deadlock holds no lock but this table's
+    table = _CycloTable(order)
+    kernels = {}
+    worker = threading.Thread(
+        target=lambda: kernels.update(mul=table._kernel("mul"), fms=table._kernel("fms")),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive(), "building the kernel deadlocked"
+    deg = table.degree
+    one, zeta = (1,) + (0,) * (deg - 1) + (1,), (0, 1) + (0,) * (deg - 2) + (1,)
+    power = one
+    for _ in range(order - 1):
+        power = kernels["mul"](power, zeta)
+    assert power == (*table.power(order - 1), 1)
+    assert kernels["mul"](power, zeta) == one
+    assert kernels["fms"](one, zeta, power) == (0,) * deg + (1,)
+
+
+def test_golden_ratio_product_in_q_zeta_5():
+    field = Field.cyclotomic(5)
+    z = field.root(1)
+    # (z + z^4)(z^2 + z^3) = z + z^2 + z^3 + z^4 = -1
+    assert (z + z ** 4) * (z ** 2 + z ** 3) == field.from_int(-1)
+    assert z * z ** 4 == field.one()
+    assert z ** 3 * z ** 4 == field.root(2)
 
 
 @settings(max_examples=50, deadline=None)
