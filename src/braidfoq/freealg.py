@@ -247,6 +247,22 @@ def _accumulate(out: dict, key, coeff: Scalar) -> None:
     out[key] = coeff if prev is None else prev + coeff
 
 
+def _add_scaled(out: dict, coeff: Scalar, terms) -> None:
+    """``out += coeff * terms`` in place, as ``out + piece.scale(coeff)`` would
+    give it: zero products are skipped and a key whose sum is zero is deleted."""
+    for key, c in terms:
+        term = coeff * c
+        if term.is_zero():
+            continue
+        prev = out.get(key)
+        if prev is not None:
+            term = prev + term
+            if term.is_zero():
+                del out[key]
+                continue
+        out[key] = term
+
+
 class _Combination:
     """Finite scalar combination of term keys; canonical storage.
 
@@ -530,15 +546,15 @@ def _comult_image(presentation, letter: GeneratorSym, cache: dict) -> TensorElem
 def _substitute_words(element: AlgebraElement, one, letter_image, z_image):
     """Sum of c * letter_image(l_1) * ... * letter_image(l_k) * z_image(e) over
     the terms c * l_1...l_k z^e of `element` (z_image only for e != 0)."""
-    out = one._like({})
+    out: dict = {}
     for word, coeff in element.sorted_terms():
         acc = one
         for letter in word.letters:
             acc = acc * letter_image(letter)
         if word.zexp:
             acc = acc * z_image(word.zexp)
-        out = out + acc.scale(coeff)
-    return out
+        _add_scaled(out, coeff, acc.terms.items())
+    return one._like(out)
 
 
 def apply_comult(element: AlgebraElement, presentation) -> TensorElement:
@@ -562,15 +578,13 @@ def expand_three_legs(t2: TensorElement, presentation, leg: int) -> TensorElemen
     if t2.legs != 2 or leg not in (0, 1):
         raise ValueError("expand_three_legs acts on a specified leg of a 2-leg element")
     context = t2.context
-    out = TensorElement.zero(context, 3)
+    out: dict[tuple[Word, ...], Scalar] = {}
     for (w1, w2), coeff in t2.sorted_terms():
         target = w1 if leg == 0 else w2
         inner = apply_comult(AlgebraElement.monomial(context, target), presentation)
-        terms: dict[tuple[Word, ...], Scalar] = {}
-        for (a, b), c in inner.terms.items():
-            _accumulate(terms, (a, b, w2) if leg == 0 else (w1, a, b), c)
-        out = out + TensorElement(context, 3, terms).scale(coeff)
-    return out
+        _add_scaled(out, coeff, ((((a, b, w2) if leg == 0 else (w1, a, b)), c)
+                                 for (a, b), c in inner.terms.items()))
+    return TensorElement(context, 3, out)
 
 
 def coassociativity_check(presentation) -> bool:
@@ -728,6 +742,14 @@ class IdealCertifier:
                 base.append((idx, star, [w for w, _ in terms],
                              max(w[1] for w, _ in terms), min(zexps), max(zexps)))
         self._base = base
+        # relation word letters -> (base index, zexp) of each base term with
+        # those letters, and the letter counts that occur
+        self._divisors: dict[tuple, list[tuple[int, int]]] = {}
+        for bi, (_, _, term_words, _, _, _) in enumerate(base):
+            for u_zexp, _, u_letters in term_words:
+                self._divisors.setdefault(u_letters, []).append((bi, u_zexp))
+        self._divisor_lengths = sorted({len(u) for u in self._divisors})
+        self._inverses: dict = {}  # raw pivot lead -> its raw inverse
 
         # pivots: word -> (vector, row_id, recipe, inverse lead); the recipe
         # records the pivot hits consumed while reducing the inserted row, so
@@ -781,24 +803,24 @@ class IdealCertifier:
         D = self.degree_bound
         found = []
         zexp, length, letters = word
-        for bi, (idx, star, term_words, max_len, zexp_lo, zexp_hi) in enumerate(self._base):
-            for u_zexp, k, u_letters in term_words:
-                if k > length:
-                    continue
-                shift = zexp - u_zexp
-                # every decoration matching u pads r by length - k letters
-                # and shifts its z-exponents by `shift`
-                if (length - k + max_len > D
-                        or shift + zexp_lo < -D or shift + zexp_hi > D):
-                    continue
-                for pos in range(length - k + 1):
-                    if letters[pos:pos + k] != u_letters:
+        base, divisors, seen = self._base, self._divisors, self._seen_rows
+        for k in self._divisor_lengths:
+            if k > length:
+                break
+            for pos in range(length - k + 1):
+                for bi, u_zexp in divisors.get(letters[pos:pos + k], ()):
+                    idx, star, _, max_len, zexp_lo, zexp_hi = base[bi]
+                    shift = zexp - u_zexp
+                    # every decoration matching u pads r by length - k letters
+                    # and shifts its z-exponents by `shift`
+                    if (length - k + max_len > D
+                            or shift + zexp_lo < -D or shift + zexp_hi > D):
                         continue
                     left = (0, pos, letters[:pos])
                     right = (shift, length - pos - k, letters[pos + k:])
                     key = (bi, left, right)
-                    if key not in self._seen_rows:
-                        self._seen_rows.add(key)
+                    if key not in seen:
+                        seen.add(key)
                         found.append((left, idx, star, right))
         found.sort(key=lambda d: (d[1], d[2], d[0], d[3]))
         return found
@@ -883,7 +905,11 @@ class IdealCertifier:
         if not residual:
             return
         lead = min(residual)
-        inv, mul = self._kernel.inverse(residual[lead]), self._kernel.mul
+        lead_coeff = residual[lead]
+        inv = self._inverses.get(lead_coeff)
+        if inv is None:
+            inv = self._inverses[lead_coeff] = self._kernel.inverse(lead_coeff)
+        mul = self._kernel.mul
         vec_n = {w: mul(inv, c) for w, c in residual.items()}
         # pivot row = inv * (row_{row_id} - sum used[q] * pivot_q)
         self._pivots[lead] = (vec_n, row_id, used, inv)

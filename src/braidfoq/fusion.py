@@ -131,29 +131,29 @@ def ring_checks(ctx: FusionContext, bound: int) -> dict:
               for l in range(-bound, bound + 1)
               if IrrepLabel(k, l).valid_in(ctx)]
     failures: list[dict] = []
-    unit = IrrepLabel(0, 0)
 
     def _k_ladder(a: int, b: int) -> list[int]:
         return list(range(abs(a - b), a + b + 1, 2))
 
     # conj_label maps the label set onto itself, so every product a check
-    # reads is fused once, here
-    fused = {(a, b): fuse(a, b, ctx) for a in labels for b in labels}
-    rungs = {pair: sorted((r.k, r.l) for r in ab) for pair, ab in fused.items()}
+    # reads is fused once, here; the tables are keyed by (a.k, a.l, b.k, b.l)
+    dims = [dim(a, ctx) for a in labels]
+    fused = {(a.k, a.l, b.k, b.l): fuse(a, b, ctx) for a in labels for b in labels}
+    rungs = {key: sorted((r.k, r.l) for r in ab) for key, ab in fused.items()}
     for a in labels:
-        if tuple(fused[unit, a]) != (a,):
+        if tuple(fused[0, 0, a.k, a.l]) != (a,):
             failures.append({"check": "unit", "witness": [a.to_json()]})
-    for a in labels:
-        for b in labels:
-            ab = fused[a, b]
-            if rungs[a, b] != rungs[b, a]:
+    for a, dim_a in zip(labels, dims):
+        for b, dim_b in zip(labels, dims):
+            ab = fused[a.k, a.l, b.k, b.l]
+            if rungs[a.k, a.l, b.k, b.l] != rungs[b.k, b.l, a.k, a.l]:
                 failures.append({"check": "commutativity",
                                  "witness": [a.to_json(), b.to_json()]})
-            if dim(a, ctx) * dim(b, ctx) != ab.total_dim(ctx):
+            if dim_a * dim_b != ab.total_dim(ctx):
                 failures.append({"check": "dimension",
                                  "witness": [a.to_json(), b.to_json()]})
             conj_ab = sorted((r.k, -r.l) for r in ab)
-            if conj_ab != rungs[conj_label(b), conj_label(a)]:
+            if conj_ab != rungs[b.k, -b.l, a.k, -a.l]:
                 failures.append({"check": "conjugation",
                                  "witness": [a.to_json(), b.to_json()]})
             if ctx.parity == "odd_d" and not all(r.valid_in(ctx) for r in ab):

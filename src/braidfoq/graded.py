@@ -12,9 +12,10 @@ conj(Omega) @ Omega = c * diag(zeta^(d*degree(i))).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field as dataclass_field
 
-from .scalar import Field, Matrix, PhasePowers, Scalar, SingularMatrix, sqrt_fraction
+from .scalar import Field, Matrix, PhasePowers, Scalar, SingularMatrix, _RawKernel, sqrt_fraction
 
 __all__ = [
     "GradedSpace",
@@ -413,20 +414,31 @@ def triviality_lhs(data: OmegaData, i: int, j: int, k: int, l: int) -> Scalar:
 
 def triviality_scan(data: OmegaData) -> list[tuple[tuple[int, int, int, int], Scalar]]:
     """All violations of the identity over the n^4 index tuples (0-based)."""
-    space = data.space
-    n = space.n
+    n = data.space.n
     a_mats, b_mats = _triviality_factors(data)
-    one, zero = space.field.one(), space.field.zero()
+    kernel = _RawKernel(data.space.field)
+    mul, fms, is_zero, raw = kernel.mul, kernel.fms, kernel.is_zero, kernel.raw
+    zero, one = kernel.zero, kernel.one
+    a_rows = [[[raw(a) for a in row] for row in m.entries] for m in a_mats]
+    b_rows = [[[raw(b) for b in row] for row in m.entries] for m in b_mats]
+    if not data.space.field.exact and not all(
+            cmath.isfinite(v) for m in a_rows + b_rows for row in m for v in row):
+        zero = None  # 0 * inf is nan, so every product is formed
     violations = []
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                a_ik = a_mats[j][i, k]
-                for l in range(n):
-                    value = a_ik * b_mats[i][j, l]
-                    expect = one if (i == k and j == l) else zero
-                    if value != expect:
-                        violations.append(((i, j, k, l), value))
+            b_row = b_rows[i][j]
+            for k, a in enumerate(a_rows[j][i]):
+                # off the diagonal a product with an exactly-zero factor is
+                # the kernel's zero, which never differs from the expected 0
+                if a == zero and k != i:
+                    continue
+                for l, b in enumerate(b_row):
+                    diagonal = k == i and l == j
+                    if diagonal or (a != zero and b != zero):
+                        value = mul(a, b)
+                        if not is_zero(fms(value, one, one) if diagonal else value):
+                            violations.append(((i, j, k, l), kernel.scalar(value)))
     return violations
 
 

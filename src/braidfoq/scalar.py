@@ -746,7 +746,8 @@ class Matrix:
             if len(r) != cols:
                 raise ValueError("matrix rows must have equal length")
             for s in r:
-                if not isinstance(s, Scalar) or s.field != field:
+                if not (type(s) is Scalar and s.field is field) and (
+                        not isinstance(s, Scalar) or s.field != field):
                     raise FieldMismatch("matrix entries must share one field")
         self.field = field
         self.rows = len(rows)
@@ -794,21 +795,24 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch in matrix product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.field.zero()
+        # from acc = +0, acc - (-a)*b equals acc + a*b bit for bit in IEEE
+        # arithmetic too, so the left factors are negated once and every step
+        # is one fms
+        kernel = _RawKernel(self.field)
+        fms, raw = kernel.fms, kernel.raw
+        left = [[(k, raw(-a)) for k, a in enumerate(row) if not a.is_zero()]
+                for row in self.entries]
+        right = [[None if b.is_zero() else raw(b) for b in row] for row in other.entries]
         out = []
-        for i in range(self.rows):
+        for terms in left:
             row = []
             for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
+                acc = kernel.zero
+                for k, neg_a in terms:
+                    b = right[k][j]
+                    if b is not None:
+                        acc = fms(acc, neg_a, b)
+                row.append(kernel.scalar(acc))
             out.append(row)
         return Matrix(self.field, out)
 
@@ -837,54 +841,49 @@ class Matrix:
         return all(a.is_zero() for row in self.entries for a in row)
 
     def _eliminate(self, augment: "Matrix | None"):
-        # Gauss-Jordan; returns (rank, reduced, reduced_augment)
-        work = [list(r) for r in self.entries]
-        aug = [list(r) for r in augment.entries] if augment is not None else None
+        # Gauss-Jordan on raw rows, each extended by its augment row; returns
+        # (rank, the augment part of the reduced rows)
+        kernel = _RawKernel(self.field)
+        mul, fms, is_zero, raw = kernel.mul, kernel.fms, kernel.is_zero, kernel.raw
+        work = [[raw(a) for a in row] for row in self.entries]
+        if augment is not None:
+            work = [row + [raw(a) for a in extra] for row, extra in zip(work, augment.entries)]
         rank = 0
         for col in range(self.cols):
             pivot = None
             if self.field.exact:
                 for r in range(rank, self.rows):
-                    if not work[r][col].is_zero():
+                    if not is_zero(work[r][col]):
                         pivot = r
                         break
             else:
                 best = self.field.tolerance
                 for r in range(rank, self.rows):
-                    mag = abs(work[r][col].value)
+                    mag = abs(work[r][col])
                     if mag > best:
                         best, pivot = mag, r
             if pivot is None:
                 continue
             work[rank], work[pivot] = work[pivot], work[rank]
-            if aug is not None:
-                aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            inv = work[rank][col].inverse()
-            work[rank] = [inv * a for a in work[rank]]
-            if aug is not None:
-                aug[rank] = [inv * a for a in aug[rank]]
+            inv = kernel.inverse(work[rank][col])
+            pivot_row = work[rank] = [mul(inv, a) for a in work[rank]]
             for r in range(self.rows):
-                if r == rank:
-                    continue
                 factor = work[r][col]
-                if factor.is_zero():
-                    continue
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-                if aug is not None:
-                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[rank])]
+                if r != rank and not is_zero(factor):
+                    work[r] = [fms(a, factor, b) for a, b in zip(work[r], pivot_row)]
             rank += 1
             if rank == self.rows:
                 break
-        return rank, work, aug
+        return rank, [[kernel.scalar(a) for a in row[self.cols:]] for row in work]
 
     def rank(self) -> int:
-        rank, _, _ = self._eliminate(None)
+        rank, _ = self._eliminate(None)
         return rank
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        rank, _, aug = self._eliminate(Matrix.identity(self.field, self.rows))
+        rank, aug = self._eliminate(Matrix.identity(self.field, self.rows))
         if rank < self.rows:
             raise SingularMatrix("matrix is singular", rank)
         return Matrix(self.field, aug)

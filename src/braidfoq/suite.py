@@ -290,18 +290,19 @@ _CHECKS = [
 ]
 
 
-# _CHECKS by serial cost, longest first (seconds at seed 42 on a 2-vCPU
-# host: 0.35, 0.25, 0.21, 0.18, 0.18, 0.15, 0.01, 0.01); a pool that takes
-# them in this order finishes close to an even split of the total
+# _CHECKS by serial cost, longest first (median seconds at seed 42 on a
+# 2-vCPU host, each in a freshly forked process: 0.22, 0.22, 0.21, 0.19,
+# 0.15, 0.14, 0.02, 0.02); a pool that takes them in this order finishes
+# close to an even split of the total
 _LONGEST_FIRST = [
+    _check_transforms,
     _check_triviality,
     _check_fusion_ring,
     _check_coassociativity,
-    _check_well_definedness,
-    _check_transforms,
     _check_irreducibility,
-    _check_intertwiner,
+    _check_well_definedness,
     _check_q_parameter,
+    _check_intertwiner,
 ]
 
 

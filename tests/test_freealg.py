@@ -626,3 +626,97 @@ def test_bound3_certificates_match_recorded_bytes(request, fixture, label):
                for r in report["relations"]]
     text = json.dumps(payload, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == recorded["cert_sha256"]
+
+
+# -- linear-time sums against repeated + ---------------------------------------
+
+
+def _ref_comult(element, presentation):
+    """apply_comult as a sum of per-word products, one + per term."""
+    ctx = element.context
+    out = TensorElement.zero(ctx, 2)
+    for word, coeff in element.sorted_terms():
+        acc = TensorElement.one(ctx, 2)
+        for letter in word.letters:
+            image = presentation.comult.get(letter)
+            acc = acc * (image if image is not None
+                         else presentation.comult[letter.star()].adjoint())
+        if word.zexp:
+            acc = acc * TensorElement(ctx, 2, {(Word(word.zexp, ()),) * 2: ctx.field.one()})
+        out = out + acc.scale(coeff)
+    return out
+
+
+def _ref_three_legs(t2, presentation, leg):
+    ctx = t2.context
+    out = TensorElement.zero(ctx, 3)
+    for (w1, w2), coeff in t2.sorted_terms():
+        inner = _ref_comult(AlgebraElement.monomial(ctx, w1 if leg == 0 else w2), presentation)
+        piece = TensorElement(ctx, 3, {((a, b, w2) if leg == 0 else (w1, a, b)): c
+                                       for (a, b), c in inner.terms.items()})
+        out = out + piece.scale(coeff)
+    return out
+
+
+def _same_terms(got, expected):
+    """The same terms in the same order, with equal exact coefficients or
+    the same complex bits."""
+    assert list(got.terms) == list(expected.terms)
+    for a, b in zip(got.terms.values(), expected.terms.values()):
+        if a.num is None:
+            assert repr(a.value) == repr(b.value)
+        else:
+            assert (a.num, a.den) == (b.num, b.den)
+
+
+def _overlapping_images(presentation):
+    """The presentation with Delta(u01) = Delta(u00) - u00 (x) 1 and
+    Delta(u10) = Delta(u00): summing the image of u00 - u01 + u10 term by
+    term cancels all of Delta(u00) and then adds it back."""
+    ctx = presentation.context
+    comult = dict(presentation.comult)
+    base = comult[ctx.u(0, 0)]
+    single = TensorElement.tensor(_letter(ctx, ctx.u(0, 0)), AlgebraElement.one(ctx))
+    comult[ctx.u(0, 1)] = base - single
+    comult[ctx.u(1, 0)] = base
+    return Presentation(name="overlapping", context=ctx, generators=presentation.generators,
+                        relations=presentation.relations,
+                        relation_labels=presentation.relation_labels,
+                        comult=comult, meta=presentation.meta)
+
+
+def test_comult_sums_match_repeated_addition():
+    from test_graded import _as_approx
+
+    from braidfoq.sampling import random_valid_instance
+
+    rng = random.Random(33)
+    for n in (2, 3, 4):
+        inst = random_valid_instance(rng, n=n, order=rng.choice([4, 8, 12]))
+        for data in (inst, _as_approx(inst)):
+            presentation = bosonisation_presentation(data)
+            ctx = presentation.context
+            zeta = ctx.zeta
+            letters = [_letter(ctx, g) for g in presentation.generators]
+            targets = list(presentation.relations[:3])
+            for _ in range(3):
+                target = AlgebraElement.zero(ctx)
+                for _ in range(3):
+                    word = AlgebraElement.one(ctx)
+                    for _ in range(rng.randrange(3)):
+                        word = word * rng.choice(letters)
+                    target = target + word.scale(zeta ** rng.randrange(5))
+                targets.append(target)
+            u = [_letter(ctx, ctx.u(i, j)) for i, j in ((0, 0), (0, 1), (1, 0))]
+            cancelling = u[0] - u[1] + u[2]
+            for pres, elems in ((presentation, targets),
+                                (_overlapping_images(presentation), [cancelling])):
+                for target in elems:
+                    two = apply_comult(target, pres)
+                    _same_terms(two, _ref_comult(target, pres))
+                    for leg in (0, 1):
+                        _same_terms(expand_three_legs(two, pres, leg),
+                                    _ref_three_legs(two, pres, leg))
+            two = apply_comult(cancelling, _overlapping_images(presentation))
+            single = TensorElement.tensor(u[0], AlgebraElement.one(ctx))
+            assert two - apply_comult(u[0], presentation) == single

@@ -2,6 +2,7 @@ import pytest
 
 from braidfoq import (FusionContext, IrrepLabel, conj_label, dim, double_cover,
                       fuse, q_parameter, ring_checks, su_q2_reference_instance)
+from braidfoq.fusion import FusionDecomposition
 
 
 @pytest.fixture(scope="module")
@@ -111,41 +112,69 @@ def test_labels_with_distinct_winding_stay_distinct(even):
     assert set(decomposition.summands).isdisjoint(set(other.summands))
 
 
-def _reference_pair_failures(ctx, bound, fuse_fn):
-    """The commutativity and conjugation failures of ``ring_checks``, found
-    by fusing each pair three times, as the direct reading of the axioms."""
+def _reference_failures(ctx, bound, fuse_fn):
+    """The unit and per-pair failures of ``ring_checks``, in its order,
+    found by fusing each pair afresh for every axiom that reads it."""
     labels = [IrrepLabel(k, l) for k in range(bound + 1)
               for l in range(-bound, bound + 1) if IrrepLabel(k, l).valid_in(ctx)]
-    failures = []
+    failures = [{"check": "unit", "witness": [a.to_json()]} for a in labels
+                if tuple(fuse_fn(IrrepLabel(0, 0), a, ctx)) != (a,)]
     for a in labels:
         for b in labels:
             ab = fuse_fn(a, b, ctx)
             witness = [a.to_json(), b.to_json()]
             if sorted(ab) != sorted(fuse_fn(b, a, ctx)):
                 failures.append({"check": "commutativity", "witness": witness})
+            if dim(a, ctx) * dim(b, ctx) != sum(dim(r, ctx) for r in ab):
+                failures.append({"check": "dimension", "witness": witness})
             if (sorted(conj_label(r) for r in ab)
                     != sorted(fuse_fn(conj_label(b), conj_label(a), ctx))):
                 failures.append({"check": "conjugation", "witness": witness})
+            if not all(r.valid_in(ctx) for r in ab):
+                failures.append({"check": "parity_closure", "witness": witness})
     return failures
+
+
+def _skewed(a, b, ctx):
+    # moves the winding of a x b by 2 when a sorts before b: still a valid,
+    # dimension-preserving ladder, but neither commutative nor
+    # conjugation-compatible
+    rungs = fuse(a, b, ctx)
+    if a < b and a != IrrepLabel(0, 0):
+        return FusionDecomposition(tuple(IrrepLabel(r.k, r.l + 2) for r in rungs))
+    return rungs
+
+
+def _short(a, b, ctx):
+    # drops the lowest rung when both ladders are nontrivial and a winds
+    # less than b: the dimensions no longer multiply
+    rungs = fuse(a, b, ctx)
+    if a.k and b.k and a.l < b.l:
+        return FusionDecomposition(rungs.summands[:-1])
+    return rungs
+
+
+def _off_parity(a, b, ctx):
+    # moves the winding by 1 when a.k < b.k, which leaves the odd-parity
+    # labels
+    rungs = fuse(a, b, ctx)
+    if a.k < b.k:
+        return FusionDecomposition(tuple(IrrepLabel(r.k, r.l + 1) for r in rungs))
+    return rungs
 
 
 def test_ring_checks_report_broken_fusion_like_the_reference(monkeypatch, even, odd):
     import braidfoq.fusion as fusion_module
 
-    def skewed(a, b, ctx):
-        # moves the winding of a x b by 2 when a sorts before b: still a
-        # valid, dimension-preserving ladder, but neither commutative nor
-        # conjugation-compatible
-        rungs = fuse(a, b, ctx)
-        if a < b and a != IrrepLabel(0, 0):
-            return fusion_module.FusionDecomposition(
-                tuple(IrrepLabel(r.k, r.l + 2) for r in rungs))
-        return rungs
-
-    monkeypatch.setattr(fusion_module, "fuse", skewed)
-    for ctx in (even, odd):
-        expected = _reference_pair_failures(ctx, 3, skewed)
-        report = ring_checks(ctx, 3)
-        got = [f for f in report["failures"] if f["check"] in ("commutativity", "conjugation")]
-        assert expected and got == expected
-        assert not report["passed"]
+    for broken, breaks in ((_skewed, {"commutativity", "conjugation"}),
+                           (_short, {"dimension"}), (_off_parity, {"parity_closure"})):
+        monkeypatch.setattr(fusion_module, "fuse", broken)
+        checks = set()
+        for ctx in (even, odd):
+            expected = _reference_failures(ctx, 3, broken)
+            report = ring_checks(ctx, 3)
+            got = [f for f in report["failures"] if f["check"] != "associativity"]
+            assert expected and got == expected
+            assert not report["passed"]
+            checks.update(f["check"] for f in got)
+        assert checks >= breaks

@@ -226,3 +226,68 @@ def test_solve_with_multidimensional_blocks_and_middle(f8):
     assert middle is not None
     product = middle.conj() @ middle
     assert product.scalar_multiple_of_identity() == report.c * space.zeta_pow(2)
+
+
+def _as_approx(data, tolerance=1e-9):
+    """The same instance over complex doubles."""
+    field = Field.approx(tolerance)
+    space = data.space
+    approx_space = GradedSpace(n=space.n, degrees=space.degrees,
+                               zeta=field.from_complex(space.zeta.to_complex()), field=field)
+    omega = Matrix(field, [[field.from_complex(a.to_complex()) for a in row]
+                           for row in data.omega.entries])
+    return OmegaData(space=approx_space, omega=omega, d=data.d)
+
+
+def _reference_scan(data):
+    """Every one of the n^4 products of the factor matrices, compared with
+    the Kronecker deltas in Scalar arithmetic."""
+    from braidfoq.graded import _triviality_factors
+
+    a_mats, b_mats = _triviality_factors(data)
+    field, n = data.space.field, data.space.n
+    violations = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    value = a_mats[j][i, k] * b_mats[i][j, l]
+                    if value != (field.one() if i == k and j == l else field.zero()):
+                        violations.append(((i, j, k, l), value))
+    return violations
+
+
+def _same_violations(got, expected):
+    assert [indices for indices, _ in got] == [indices for indices, _ in expected]
+    for (_, a), (_, b) in zip(got, expected):
+        if a.num is None:
+            assert repr(a.value) == repr(b.value)
+        else:
+            assert (a.num, a.den) == (b.num, b.den)
+
+
+def test_triviality_scan_matches_brute_force_reference(e1, f8):
+    rng = random.Random(8)
+    cases = [e1, OmegaData(space=e1.space, d=1, omega=Matrix(
+        f8, [[f8.zero(), f8.one()], [f8.one(), f8.zero()]]))]
+    while len(cases) < 14:
+        inst = random_valid_instance(rng, n=rng.choice([2, 3, 4]), order=rng.choice([4, 8, 12]))
+        cases.append(inst)
+        mutant = mutate_one_entry(rng, inst)
+        if mutant is not None and mutant.omega.rank() == mutant.space.n:
+            cases.append(mutant)
+    violated = 0
+    for data in cases:
+        for variant in (data, _as_approx(data)):
+            expected = _reference_scan(variant)
+            _same_violations(triviality_scan(variant), expected)
+            violated += bool(expected)
+    assert violated >= 4
+    # an infinite entry: 0 * inf is nan, so no zero factor may be skipped
+    approx = _as_approx(e1)
+    omega = [list(row) for row in approx.omega.entries]
+    omega[1][0] = approx.space.field.from_complex(complex(float("inf"), 0.0))
+    infinite = OmegaData(space=approx.space, omega=Matrix(approx.space.field, omega), d=1)
+    expected = _reference_scan(infinite)
+    assert expected
+    _same_violations(triviality_scan(infinite), expected)

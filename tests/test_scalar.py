@@ -388,3 +388,126 @@ def test_raw_kernel_on_an_approx_field(p, x, y):
     assert kernel.is_zero(kernel.fms(x * y, x, y))
     if abs(x) > 1e-9:
         assert kernel.inverse(x) == field.from_complex(x).inverse().value
+
+
+# -- matrix products and elimination against a schoolbook Scalar reference ----
+
+
+def _ref_matmul(x, y):
+    """Row-times-column sums in Scalar arithmetic, skipping zero factors."""
+    out = []
+    for i in range(x.rows):
+        row = []
+        for j in range(y.cols):
+            acc = x.field.zero()
+            for k in range(x.cols):
+                a, b = x[i, k], y[k, j]
+                if not a.is_zero() and not b.is_zero():
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _ref_gauss_jordan(m, augment):
+    """(rank, augment rows) by Gauss-Jordan in Scalar arithmetic; the pivot
+    is the first nonzero entry when exact, the largest above the tolerance
+    when approx."""
+    field = m.field
+    rows = [list(m.entries[r]) + (list(augment.entries[r]) if augment else [])
+            for r in range(m.rows)]
+    rank = 0
+    for col in range(m.cols):
+        candidates = [r for r in range(rank, m.rows) if not rows[r][col].is_zero()]
+        if not candidates:
+            continue
+        if field.exact:
+            pivot = candidates[0]
+        else:
+            pivot = max(candidates, key=lambda r: abs(rows[r][col].value))
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [inv * a for a in rows[rank]]
+        for r in range(m.rows):
+            factor = rows[r][col]
+            if r != rank and not factor.is_zero():
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank, [row[m.cols:] for row in rows]
+
+
+def _same_entries(got, expected):
+    """Exact equality, or the same complex bits (signed zeros included)."""
+    flat_got = [a for row in got for a in row]
+    flat_expected = [a for row in expected for a in row]
+    assert len(flat_got) == len(flat_expected)
+    for a, b in zip(flat_got, flat_expected):
+        if a.num is None:
+            assert repr(a.value) == repr(b.value)
+        else:
+            assert (a.num, a.den) == (b.num, b.den)
+
+
+@st.composite
+def _matrix(draw, field, rows, cols):
+    """Entries with mixed denominators (exact) or small, tiny and zero parts
+    (approx); some rows or columns all zero, and sometimes a row that is a
+    combination of two others, so that the matrix is singular."""
+    if field.exact:
+        order = field.order
+        entry = st.one_of(st.just([Fraction(0)] * field.degree), _operand(order))
+        cells = [[field.from_coeffs(draw(entry)) for _ in range(cols)] for _ in range(rows)]
+    else:
+        # sevenths round, so a different pivot order changes the bits
+        part = st.one_of(st.just(0.0), st.just(-0.0), st.sampled_from((1e-12, -3e-11)),
+                         st.integers(-4, 4).map(float), st.integers(-30, 30).map(lambda m: m / 7),
+                         st.floats(-3, 3, allow_nan=False, allow_infinity=False))
+        cells = [[field.from_complex(complex(draw(part), draw(part))) for _ in range(cols)]
+                 for _ in range(rows)]
+    zero = field.zero()
+    for r in draw(st.sets(st.integers(0, rows - 1), max_size=1)):
+        cells[r] = [zero] * cols
+    for c in draw(st.sets(st.integers(0, cols - 1), max_size=1)):
+        for row in cells:
+            row[c] = zero
+    if rows >= 3 and draw(st.booleans()):
+        s, t = cells[0][0], cells[1][-1]
+        cells[-1] = [s * a + t * b for a, b in zip(cells[0], cells[1])]
+    return Matrix(field, cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matrix_operations_match_schoolbook_reference(data):
+    kind = data.draw(st.sampled_from((4, 5, 8, 12, 24, "approx", "approx")))
+    field = Field.approx(1e-10) if kind == "approx" else Field.cyclotomic(kind)
+    rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    x = data.draw(_matrix(field, rows, inner))
+    y = data.draw(_matrix(field, inner, cols))
+    _same_entries((x @ y).entries, _ref_matmul(x, y))
+    rank, _ = _ref_gauss_jordan(x, None)
+    assert x.rank() == rank
+    square = data.draw(_matrix(field, inner, inner))
+    rank, inverse = _ref_gauss_jordan(square, Matrix.identity(field, inner))
+    if rank < inner:
+        with pytest.raises(SingularMatrix) as err:
+            square.inverse()
+        assert err.value.rank == rank
+    else:
+        _same_entries(square.inverse().entries, inverse)
+
+
+def test_approx_elimination_matches_reference_bit_for_bit():
+    # dense matrices of sevenths: the largest-magnitude pivot differs from
+    # the first nonzero one, and either choice rounds differently
+    field = Field.approx(1e-10)
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randrange(2, 5)
+        m = Matrix(field, [[field.from_complex(complex(rng.randrange(-30, 31) / 7,
+                                                       rng.randrange(-30, 31) / 7))
+                            for _ in range(n)] for _ in range(n)])
+        rank, inverse = _ref_gauss_jordan(m, Matrix.identity(field, n))
+        assert m.rank() == rank
+        if rank == n:
+            _same_entries(m.inverse().entries, inverse)
