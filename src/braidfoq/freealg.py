@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dataclass_field
 
-from .scalar import Field, FieldMismatch, PhasePowers, Scalar, _RawKernel
+from .scalar import Field, FieldMismatch, PhasePowers, Scalar
 
 __all__ = [
     "AlgebraContext",
@@ -697,7 +697,9 @@ class IdealCertifier:
     increases, so a popped word that has already cancelled is skipped and
     a word is pushed only when it enters the vector with a pivot.
 
-    Coefficients are raw ``_RawKernel`` values, converted at the boundary.
+    Coefficients are the scalars' raw values (``Scalar.raw``), computed on
+    by the field's kernel; entries of a certificate wrap them back in a
+    ``Scalar``.
 
     The certifier runs in one thread; ``workers`` is accepted for
     compatibility and changes nothing.
@@ -710,7 +712,7 @@ class IdealCertifier:
         self.degree_bound = degree_bound
         self.row_cap = row_cap
         self.capped = False
-        self._kernel = _RawKernel(context.field)
+        self._kernel = context.field.kernel
         self._zeta_raw: dict[int, object] = {}  # e -> raw zeta^e
 
         # letter interning: GeneratorSym -> code, code -> letter, code -> zdeg
@@ -728,7 +730,7 @@ class IdealCertifier:
             for star in (False, True):
                 elem = rel.adjoint() if star else rel
                 terms = [(self._encode(w), c) for w, c in elem.terms.items()]
-                self._oriented[(idx, star)] = [(w, self._kernel.raw(c), self._word_zdeg(w))
+                self._oriented[(idx, star)] = [(w, c.raw, self._word_zdeg(w))
                                                for w, c in terms]
                 if not terms or max(w[1] for w, _ in terms) > degree_bound:
                     continue
@@ -843,7 +845,7 @@ class IdealCertifier:
             if e:
                 phase = zeta_raw.get(e)
                 if phase is None:
-                    phase = zeta_raw[e] = self._kernel.raw(self.context.zeta_pow(e))
+                    phase = zeta_raw[e] = self.context.zeta_pow(e).raw
                 c = mul(c, phase)
             row[(p + q + s, la_len + w_len + lb_len, la + lw + lb)] = c
         return row
@@ -970,11 +972,11 @@ class IdealCertifier:
             left, idx, star, right = self._decorations[rid]
             entries.append(CertEntry(leg=leg, left=self._decode(left), rel_index=idx,
                                      star=star, right=self._decode(right), other=other,
-                                     coeff=self._kernel.scalar(combo[rid])))
+                                     coeff=Scalar(self.context.field, combo[rid])))
         return entries
 
     def certify_element(self, element: AlgebraElement) -> MembershipCertificate:
-        vec = {self._encode(w): self._kernel.raw(c) for w, c in element.terms.items()}
+        vec = {self._encode(w): c.raw for w, c in element.terms.items()}
         self._ensure_closure(vec)
         residual, hits = self._reduce_vector(vec)
         if not residual:
@@ -998,7 +1000,7 @@ class IdealCertifier:
 
         # leg 1 is reduced over each leg-2 monomial, then leg 2 over each
         # leg-1 monomial of what is left
-        final = {(encoded[w1], encoded[w2]): self._kernel.raw(c)
+        final = {(encoded[w1], encoded[w2]): c.raw
                  for (w1, w2), c in target.terms.items()}
         for leg in (1, 2):
             by_other: dict[tuple, dict[tuple, object]] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field as dataclass_field
 
-from .scalar import Field, Matrix, PhasePowers, Scalar, SingularMatrix, _RawKernel, sqrt_fraction
+from .scalar import Field, Matrix, PhasePowers, Scalar, SingularMatrix, sqrt_fraction
 
 __all__ = [
     "GradedSpace",
@@ -132,10 +132,8 @@ class OmegaData:
 
     @classmethod
     def from_json(cls, data: dict) -> "OmegaData":
-        fld = Field.from_json(data["field"])
-        space = GradedSpace(n=int(data["n"]), degrees=tuple(int(a) for a in data["degrees"]),
-                            zeta=Scalar.from_json(data["zeta"], fld), field=fld)
-        omega = Matrix.from_json(data["omega"], fld)
+        space = GradedSpace.from_json(data)
+        omega = Matrix.from_json(data["omega"], space.field)
         return cls(space=space, omega=omega, d=int(data["d"]),
                    branch_warning=bool(data.get("branch_warning", False)))
 
@@ -331,9 +329,7 @@ def _scalar_sqrt(value: Scalar) -> Scalar:
     """Exact square root of a positive scalar; rational squares only."""
     field = value.field
     if not field.exact:
-        import cmath
-
-        return field.from_complex(cmath.sqrt(value.value))
+        return field.from_complex(cmath.sqrt(value.raw))
     q = value.as_rational()
     if q is not None:
         root = sqrt_fraction(q)
@@ -416,12 +412,13 @@ def triviality_scan(data: OmegaData) -> list[tuple[tuple[int, int, int, int], Sc
     """All violations of the identity over the n^4 index tuples (0-based)."""
     n = data.space.n
     a_mats, b_mats = _triviality_factors(data)
-    kernel = _RawKernel(data.space.field)
-    mul, fms, is_zero, raw = kernel.mul, kernel.fms, kernel.is_zero, kernel.raw
+    field = data.space.field
+    kernel = field.kernel
+    mul, fms, is_zero = kernel.mul, kernel.fms, kernel.is_zero
     zero, one = kernel.zero, kernel.one
-    a_rows = [[[raw(a) for a in row] for row in m.entries] for m in a_mats]
-    b_rows = [[[raw(b) for b in row] for row in m.entries] for m in b_mats]
-    if not data.space.field.exact and not all(
+    a_rows = [[[a.raw for a in row] for row in m.entries] for m in a_mats]
+    b_rows = [[[b.raw for b in row] for row in m.entries] for m in b_mats]
+    if not field.exact and not all(
             cmath.isfinite(v) for m in a_rows + b_rows for row in m for v in row):
         zero = None  # 0 * inf is nan, so every product is formed
     violations = []
@@ -438,7 +435,7 @@ def triviality_scan(data: OmegaData) -> list[tuple[tuple[int, int, int, int], Sc
                     if diagonal or (a != zero and b != zero):
                         value = mul(a, b)
                         if not is_zero(fms(value, one, one) if diagonal else value):
-                            violations.append(((i, j, k, l), kernel.scalar(value)))
+                            violations.append(((i, j, k, l), Scalar(field, value)))
     return violations
 
 

@@ -1,11 +1,14 @@
 """Exact cyclotomic scalars, a floating complex fallback, and exact matrices.
 
-Exact scalars live in Q(zeta_N).  Each is a tuple of integer numerators,
-one per power-basis coordinate (reduced modulo the N-th cyclotomic
-polynomial), over one shared positive denominator.  The pair is kept
-normalised, gcd(den, *num) == 1 and zero is 0/1, so equality is a tuple
-comparison.  The approx mode stores a complex double and compares with an
-absolute tolerance.
+A scalar holds one raw value, and its field owns the one kernel that
+computes on raw values: mul, fms (p - x*y), is_zero, inverse, zero and one.
+An exact scalar lives in Q(zeta_N); its raw value is the flat tuple
+(n_0, ..., n_{d-1}, den) of integer numerators, one per power-basis
+coordinate (reduced modulo the N-th cyclotomic polynomial), over one
+positive denominator.  The tuple is kept normalised, gcd(den, *num) == 1
+and zero is (0, ..., 0, 1), so equality is a tuple comparison.  An approx
+scalar's raw value is a complex double, compared with an absolute
+tolerance.
 """
 
 from __future__ import annotations
@@ -112,9 +115,12 @@ def _poly_inverse(num, modulus: list[int]) -> tuple[list[int], int]:
 
 
 class _CycloTable:
-    """Per-order reduction data shared by all scalars of one field.
+    """The kernel of Q(zeta_order): per-order reduction data and arithmetic
+    on raw values, shared by all scalars of one field.
 
-    The power table and the kernels extend lazily under a reentrant lock, so
+    ``mul(x, y) = x * y``, ``fms(p, x, y) = p - x * y``, ``is_zero`` and
+    ``inverse`` take and return normalised raw tuples.  The power table and
+    the two compiled kernels extend lazily under a reentrant lock, so
     scalars stay safe to share between threads and a kernel can read powers
     it has not built yet.
     """
@@ -124,7 +130,9 @@ class _CycloTable:
         poly = cyclotomic_polynomial(order)
         self.degree = len(poly) - 1
         self.poly = poly
-        self.zero = (0,) * self.degree
+        self.zero = (0,) * self.degree + (1,)
+        self.one = (1,) + self.zero[1:]
+        self.is_zero = self.zero.__eq__
         # x^k mod Phi_order for k = 0, 1, ...; extended lazily
         self._powers: list[tuple[int, ...]] = []
         for k in range(self.degree):
@@ -164,8 +172,7 @@ class _CycloTable:
             self._basis_values = [cmath.exp(1j * w * k) for k in range(self.degree)]
         return self._basis_values
 
-    # x * y and p - x * y on raw values (see _RawKernel), each built on first
-    # use, so fields the certifier never sees pay for no fms
+    # each built on first use, so fields the certifier never sees pay for no fms
     mul = cached_property(lambda self: self._kernel("mul"))
     fms = cached_property(lambda self: self._kernel("fms"))
 
@@ -175,14 +182,54 @@ class _CycloTable:
                 return _generated_kernel(self, name)
             return _loop_kernel(self)[name]
 
+    def inverse(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        num, den = x[:-1], x[-1]
+        support = [i for i, a in enumerate(num) if a]
+        if not support:
+            raise ZeroDivisionError("scalar inverse of zero")
+        if len(support) == 1:
+            # (a/den) x^k has inverse (den/a) x^(N-k); gcd(a, den) == 1 and
+            # x^(N-k) is a unit, so the result is already normalised
+            k = support[0]
+            a = num[k]
+            if a < 0:
+                a, den = -a, -den
+            return (*[den * c for c in self.power(-k)], a)
+        inv, unit = _poly_inverse(num, self.poly)
+        # num * inv == unit, so (num/den)^-1 = den * inv / unit
+        if unit < 0:
+            unit, den = -unit, -den
+        return _normalised([den * c for c in inv] + [0] * (self.degree - len(inv)), unit)
 
-def _normalised_raw(num: list[int], den: int) -> tuple[int, ...]:
-    """The raw value num/den, den > 0, normalised as ``_normalised`` does."""
+
+class _ApproxKernel:
+    """The kernel of an approx field: raw values are complex doubles."""
+
+    zero, one = 0j, 1 + 0j
+    mul = staticmethod(_mul)
+
+    def __init__(self, tolerance: float):
+        self.tolerance = tolerance
+
+    @staticmethod
+    def fms(p: complex, x: complex, y: complex) -> complex:
+        return p - x * y
+
+    def is_zero(self, v: complex) -> bool:
+        return abs(v) <= self.tolerance
+
+    def inverse(self, v: complex) -> complex:
+        if abs(v) <= self.tolerance:
+            raise ZeroDivisionError("scalar inverse of zero")
+        return 1.0 / v
+
+
+def _normalised(num: list[int], den: int) -> tuple[int, ...]:
+    """The raw value num/den, den > 0, with common factors divided out."""
     if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
-            num = [n // g for n in num]
-            den //= g
+            return (*[n // g for n in num], den // g)
     return (*num, den)
 
 
@@ -203,12 +250,12 @@ def _loop_kernel(table: _CycloTable) -> dict:
                     else:
                         for m, r in sparse_power(k):
                             acc[m] += a * b * r
-        return _normalised_raw(acc, x[deg] * y[deg])
+        return _normalised(acc, x[deg] * y[deg])
 
     def fms(p, x, y):
         q = mul(x, y)
         pden, qden = p[deg], q[deg]
-        return _normalised_raw([a * qden - b * pden for a, b in zip(p, q[:deg])], pden * qden)
+        return _normalised([a * qden - b * pden for a, b in zip(p, q[:deg])], pden * qden)
 
     return {"mul": mul, "fms": fms}
 
@@ -266,7 +313,7 @@ def _table(order: int) -> _CycloTable:
 class Field:
     """Coefficient field specification: exact Q(zeta_N) or complex doubles."""
 
-    __slots__ = ("mode", "order", "tolerance", "_table", "_roots", "_zero", "_one")
+    __slots__ = ("mode", "exact", "order", "tolerance", "kernel", "_roots", "_zero", "_one")
 
     def __init__(self, mode: str, order: int | None = None, tolerance: float | None = None):
         if mode == "cyclo":
@@ -276,21 +323,22 @@ class Field:
                 raise ValueError(f"cyclotomic order capped at {MAX_CYCLOTOMIC_ORDER}")
             self.order = order
             self.tolerance = None
-            self._table = _table(order)
+            self.kernel = _table(order)
         elif mode == "float":
             tolerance = 1e-10 if tolerance is None else float(tolerance)
-            if not tolerance > 0:
-                raise ValueError("approx tolerance must be positive")
+            if not 0 < tolerance < math.inf:
+                raise ValueError("approx tolerance must be positive and finite")
             self.order = None
             self.tolerance = tolerance
-            self._table = None
+            self.kernel = _ApproxKernel(tolerance)
         else:
             raise ValueError(f"unknown field mode {mode!r}")
         self.mode = mode
+        self.exact = mode == "cyclo"
         self._roots: list[Scalar] | None = None
         # scalars are immutable, so every caller can share these two
-        self._zero = self.from_rational(0)
-        self._one = self.from_rational(1)
+        self._zero = Scalar(self, self.kernel.zero)
+        self._one = Scalar(self, self.kernel.one)
 
     @classmethod
     def cyclotomic(cls, order: int) -> "Field":
@@ -301,14 +349,10 @@ class Field:
         return cls("float", tolerance=tolerance)
 
     @property
-    def exact(self) -> bool:
-        return self.mode == "cyclo"
-
-    @property
     def degree(self) -> int:
         if not self.exact:
             raise ValueError("degree is defined for exact fields only")
-        return self._table.degree
+        return self.kernel.degree
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Field):
@@ -323,7 +367,7 @@ class Field:
         return hash((self.mode, self.order, self.tolerance))
 
     def __reduce__(self):
-        # rebuild through the constructor: the shared table holds a lock,
+        # rebuild through the constructor: an exact kernel holds a lock,
         # which cannot be pickled, and an unpickled field reuses the cache
         if self.exact:
             return Field.cyclotomic, (self.order,)
@@ -345,8 +389,8 @@ class Field:
     def from_rational(self, value) -> "Scalar":
         q = Fraction(value)
         if self.exact:
-            return Scalar(self, (q.numerator,) + self._table.zero[1:], q.denominator)
-        return Scalar(self, value=complex(q))
+            return Scalar(self, (q.numerator, *self.kernel.zero[1:-1], q.denominator))
+        return Scalar(self, complex(q))
 
     def from_int(self, value: int) -> "Scalar":
         return self.from_rational(value)
@@ -354,14 +398,14 @@ class Field:
     def root(self, exponent: int = 1) -> "Scalar":
         """The root of unity zeta_N^exponent (exact) or its complex value."""
         if self.exact:
-            return Scalar(self, self._table.power(exponent))
+            return Scalar(self, (*self.kernel.power(exponent), 1))
         # approx fields have no distinguished order; default to the unit
         raise ValueError("root() requires an exact field; use from_complex")
 
     def from_complex(self, value: complex) -> "Scalar":
         if self.exact:
             raise ValueError("from_complex() requires an approx field")
-        return Scalar(self, value=complex(value))
+        return Scalar(self, complex(value))
 
     def from_coeffs(self, coeffs) -> "Scalar":
         """The exact scalar with these rational power-basis coordinates."""
@@ -371,7 +415,7 @@ class Field:
         if len(vec) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients, got {len(vec)}")
         den = math.lcm(*(q.denominator for q in vec))
-        return Scalar(self, tuple(q.numerator * (den // q.denominator) for q in vec), den)
+        return Scalar(self, (*[q.numerator * (den // q.denominator) for q in vec], den))
 
     def _all_roots(self) -> list["Scalar"]:
         if self._roots is None:
@@ -395,70 +439,24 @@ class Field:
         raise ValueError(f"unknown field mode {mode!r}")
 
 
-def _normalised(field: Field, num: tuple[int, ...], den: int) -> "Scalar":
-    """The exact scalar num/den, den > 0, with common factors divided out."""
-    if den != 1:
-        g = math.gcd(den, *num)
-        if g != 1:
-            num = tuple([n // g for n in num])
-            den //= g
-    return Scalar(field, num, den)
-
-
-class _RawKernel:
-    """mul(x, y) = x * y, fms(p, x, y) = p - x * y, a zero test and the
-    inverse on raw values, converted at the boundary by ``raw`` and
-    ``scalar``.  An exact raw value is a Scalar's flat, normalised
-    (n_0, ..., n_{d-1}, den), so zero is (0, ..., 0, 1); an approx one is
-    the complex."""
-
-    __slots__ = ("field", "zero", "one", "mul", "fms", "is_zero")
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.zero, self.one = self.raw(field.zero()), self.raw(field.one())
-        if field.exact:
-            self.mul, self.fms, self.is_zero = field._table.mul, field._table.fms, self.zero.__eq__
-        else:
-            self.mul, self.fms = _mul, lambda p, x, y: p - x * y
-            self.is_zero = lambda v, tolerance=field.tolerance: abs(v) <= tolerance
-
-    @staticmethod
-    def raw(s: "Scalar"):
-        return s.value if s.num is None else (*s.num, s.den)
-
-    def scalar(self, v) -> "Scalar":
-        return Scalar(self.field, v[:-1], v[-1]) if self.field.exact else Scalar(self.field, value=v)
-
-    def inverse(self, v):
-        return self.raw(self.scalar(v).inverse())
-
-
 class Scalar:
-    """Immutable field element: exact numerators over one denominator, or a
-    complex double.
+    """Immutable field element holding its field's raw value in ``raw``: the
+    normalised tuple (n_0, ..., n_{d-1}, den) when exact, the complex double
+    when approx."""
 
-    An exact scalar has ``num``, a tuple of ``field.degree`` integers, and
-    ``den``, a positive integer with gcd(den, *num) == 1; zero is 0/1.  An
-    approx scalar has ``value`` and ``num is None``.
-    """
+    __slots__ = ("field", "raw")
 
-    __slots__ = ("field", "num", "den", "value")
-
-    def __init__(self, field: Field, num: tuple[int, ...] | None = None, den: int = 1,
-                 value: complex | None = None):
+    def __init__(self, field: Field, raw):
         self.field = field
-        self.num = num
-        self.den = den
-        self.value = value
+        self.raw = raw
 
     @property
     def coeffs(self) -> tuple[Fraction, ...] | None:
         """The exact power-basis coordinates as Fractions (None when approx)."""
-        if self.num is None:
+        if not self.field.exact:
             return None
-        den = self.den
-        return tuple(Fraction(n, den) for n in self.num)
+        den = self.raw[-1]
+        return tuple(Fraction(n, den) for n in self.raw[:-1])
 
     # helpers --------------------------------------------------------
 
@@ -469,14 +467,10 @@ class Scalar:
             raise FieldMismatch(f"field mismatch: {self.field} vs {other.field}")
 
     def is_zero(self) -> bool:
-        if self.num is not None:
-            return not any(self.num)
-        return abs(self.value) <= self.field.tolerance
+        return self.field.kernel.is_zero(self.raw)
 
     def is_one(self) -> bool:
-        if self.num is not None:
-            return self.den == 1 and self.num == self.field._one.num
-        return (self - self.field.one()).is_zero()
+        return self == self.field._one
 
     # arithmetic -------------------------------------------------------
 
@@ -484,43 +478,43 @@ class Scalar:
         field = self.field
         if type(other) is not Scalar or other.field is not field:
             self._check(other)
-        num = self.num
-        if num is None:
-            return Scalar(field, value=self.value + other.value)
-        den, oden = self.den, other.den
+        x, y = self.raw, other.raw
+        if not field.exact:
+            return Scalar(field, x + y)
+        den, oden = x[-1], y[-1]
         if den == oden:
-            num = tuple(map(_add, num, other.num))
-            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
-        return _normalised(field, tuple([a * oden + b * den for a, b in zip(num, other.num)]),
-                           den * oden)
+            if den == 1:
+                return Scalar(field, (*map(_add, x[:-1], y), 1))
+            return Scalar(field, _normalised(list(map(_add, x[:-1], y)), den))
+        return Scalar(field, _normalised([a * oden + b * den for a, b in zip(x[:-1], y)],
+                                         den * oden))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         field = self.field
         if type(other) is not Scalar or other.field is not field:
             self._check(other)
-        num = self.num
-        if num is None:
-            return Scalar(field, value=self.value - other.value)
-        den, oden = self.den, other.den
+        x, y = self.raw, other.raw
+        if not field.exact:
+            return Scalar(field, x - y)
+        den, oden = x[-1], y[-1]
         if den == oden:
-            num = tuple(map(_sub, num, other.num))
-            return Scalar(field, num) if den == 1 else _normalised(field, num, den)
-        return _normalised(field, tuple([a * oden - b * den for a, b in zip(num, other.num)]),
-                           den * oden)
+            if den == 1:
+                return Scalar(field, (*map(_sub, x[:-1], y), 1))
+            return Scalar(field, _normalised(list(map(_sub, x[:-1], y)), den))
+        return Scalar(field, _normalised([a * oden - b * den for a, b in zip(x[:-1], y)],
+                                         den * oden))
 
     def __neg__(self) -> "Scalar":
-        if self.num is not None:
-            return Scalar(self.field, tuple(map(_neg, self.num)), self.den)
-        return Scalar(self.field, value=-self.value)
+        x = self.raw
+        if self.field.exact:
+            return Scalar(self.field, (*map(_neg, x[:-1]), x[-1]))
+        return Scalar(self.field, -x)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         field = self.field
         if type(other) is not Scalar or other.field is not field:
             self._check(other)
-        if self.num is None:
-            return Scalar(field, value=self.value * other.value)
-        raw = field._table.mul((*self.num, self.den), (*other.num, other.den))
-        return Scalar(field, raw[:-1], raw[-1])
+        return Scalar(field, field.kernel.mul(self.raw, other.raw))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inverse()
@@ -540,43 +534,21 @@ class Scalar:
 
     def _apply_powers(self, field: Field, step: int) -> "Scalar":
         # the image of x^i is x^(i*step) in `field`
-        table = field._table
+        table = field.kernel
         acc = [0] * table.degree
-        for i, a in enumerate(self.num):
+        for i, a in enumerate(self.raw[:-1]):
             if a:
                 for m, r in table.sparse_power(i * step):
                     acc[m] += a * r
-        return _normalised(field, tuple(acc), self.den)
+        return Scalar(field, _normalised(acc, self.raw[-1]))
 
     def conj(self) -> "Scalar":
-        if self.num is None:
-            return Scalar(self.field, value=self.value.conjugate())
+        if not self.field.exact:
+            return Scalar(self.field, self.raw.conjugate())
         return self._apply_powers(self.field, -1)
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("scalar inverse of zero")
-        field = self.field
-        num = self.num
-        if num is None:
-            return Scalar(field, value=1.0 / self.value)
-        table = field._table
-        den = self.den
-        support = [i for i, a in enumerate(num) if a]
-        if len(support) == 1:
-            # (a/den) x^k has inverse (den/a) x^(N-k); gcd(a, den) == 1 and
-            # x^(N-k) is a unit, so the result is already normalised
-            k = support[0]
-            a = num[k]
-            if a < 0:
-                a, den = -a, -den
-            return Scalar(field, tuple([den * c for c in table.power(-k)]), a)
-        inv, unit = _poly_inverse(num, table.poly)
-        # num * inv == unit, so (num/den)^-1 = den * inv / unit
-        if unit < 0:
-            unit, den = -unit, -den
-        inv = [den * c for c in inv] + [0] * (table.degree - len(inv))
-        return _normalised(field, tuple(inv), unit)
+        return Scalar(self.field, self.field.kernel.inverse(self.raw))
 
     # predicates and conversions --------------------------------------
 
@@ -585,13 +557,13 @@ class Scalar:
             return NotImplemented
         if other.field is not self.field and self.field != other.field:
             return False
-        if self.num is not None:
-            return self.num == other.num and self.den == other.den
-        return (self - other).is_zero()
+        if self.field.exact:
+            return self.raw == other.raw
+        return self.field.kernel.is_zero(self.raw - other.raw)
 
     def __hash__(self) -> int:
-        if self.num is not None:
-            return hash((self.field.order, self.num, self.den))
+        if self.field.exact:
+            return hash((self.field.order, self.raw))
         raise TypeError("approx scalars are not hashable")
 
     def is_real(self) -> bool:
@@ -599,13 +571,13 @@ class Scalar:
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction when it is rational, else None."""
-        if self.num is None or any(self.num[1:]):
+        if not self.field.exact or any(self.raw[1:-1]):
             return None
-        return Fraction(self.num[0], self.den)
+        return Fraction(self.raw[0], self.raw[-1])
 
     def as_root_exponent(self) -> int | None:
         """k with self == zeta_N^k, or None when not a root of unity."""
-        if self.num is None:
+        if not self.field.exact:
             return None
         for k, root in enumerate(self.field._all_roots()):
             if self == root:
@@ -616,11 +588,11 @@ class Scalar:
         return self * self.conj()
 
     def to_complex(self) -> complex:
-        if self.num is None:
-            return self.value
-        basis = self.field._table.basis_values()
-        den = self.den
-        return sum(((a / den) * b for a, b in zip(self.num, basis)), 0j)
+        if not self.field.exact:
+            return self.raw
+        basis = self.field.kernel.basis_values()
+        den = self.raw[-1]
+        return sum(((a / den) * b for a, b in zip(self.raw[:-1], basis)), 0j)
 
     def real_sign(self) -> int:
         """Sign of a real scalar; exact for rationals, numeric otherwise."""
@@ -652,14 +624,14 @@ class Scalar:
     # serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.num is not None:
-            den = self.den
+        if self.field.exact:
+            den = self.raw[-1]
             coeffs = []
-            for n in self.num:
+            for n in self.raw[:-1]:
                 g = math.gcd(n, den)
                 coeffs.append([str(n // g), str(den // g)])
             return {"kind": "cyclo", "order": self.field.order, "coeffs": coeffs}
-        return {"kind": "float", "re": self.value.real, "im": self.value.imag}
+        return {"kind": "float", "re": self.raw.real, "im": self.raw.imag}
 
     @classmethod
     def from_json(cls, data: dict, field: Field | None = None) -> "Scalar":
@@ -677,12 +649,15 @@ class Scalar:
                 field = Field.approx()
             elif field.exact:
                 raise ValueError("float scalar in an exact field")
-            return field.from_complex(complex(data["re"], data["im"]))
+            value = complex(data["re"], data["im"])
+            if not cmath.isfinite(value):
+                raise ValueError("float scalar must be finite")
+            return field.from_complex(value)
         raise ValueError(f"unknown scalar kind {kind!r}")
 
     def __repr__(self) -> str:
-        if self.num is None:
-            return f"Scalar({self.value!r})"
+        if not self.field.exact:
+            return f"Scalar({self.raw!r})"
         n = self.field.order
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -798,11 +773,12 @@ class Matrix:
         # from acc = +0, acc - (-a)*b equals acc + a*b bit for bit in IEEE
         # arithmetic too, so the left factors are negated once and every step
         # is one fms
-        kernel = _RawKernel(self.field)
-        fms, raw = kernel.fms, kernel.raw
-        left = [[(k, raw(-a)) for k, a in enumerate(row) if not a.is_zero()]
+        field = self.field
+        kernel = field.kernel
+        fms = kernel.fms
+        left = [[(k, (-a).raw) for k, a in enumerate(row) if not a.is_zero()]
                 for row in self.entries]
-        right = [[None if b.is_zero() else raw(b) for b in row] for row in other.entries]
+        right = [[None if b.is_zero() else b.raw for b in row] for row in other.entries]
         out = []
         for terms in left:
             row = []
@@ -812,9 +788,9 @@ class Matrix:
                     b = right[k][j]
                     if b is not None:
                         acc = fms(acc, neg_a, b)
-                row.append(kernel.scalar(acc))
+                row.append(Scalar(field, acc))
             out.append(row)
-        return Matrix(self.field, out)
+        return Matrix(field, out)
 
     def scale(self, scalar: Scalar) -> "Matrix":
         return Matrix(self.field, [[scalar * a for a in row] for row in self.entries])
@@ -843,21 +819,22 @@ class Matrix:
     def _eliminate(self, augment: "Matrix | None"):
         # Gauss-Jordan on raw rows, each extended by its augment row; returns
         # (rank, the augment part of the reduced rows)
-        kernel = _RawKernel(self.field)
-        mul, fms, is_zero, raw = kernel.mul, kernel.fms, kernel.is_zero, kernel.raw
-        work = [[raw(a) for a in row] for row in self.entries]
+        field = self.field
+        kernel = field.kernel
+        mul, fms, is_zero = kernel.mul, kernel.fms, kernel.is_zero
+        work = [[a.raw for a in row] for row in self.entries]
         if augment is not None:
-            work = [row + [raw(a) for a in extra] for row, extra in zip(work, augment.entries)]
+            work = [row + [a.raw for a in extra] for row, extra in zip(work, augment.entries)]
         rank = 0
         for col in range(self.cols):
             pivot = None
-            if self.field.exact:
+            if field.exact:
                 for r in range(rank, self.rows):
                     if not is_zero(work[r][col]):
                         pivot = r
                         break
             else:
-                best = self.field.tolerance
+                best = field.tolerance
                 for r in range(rank, self.rows):
                     mag = abs(work[r][col])
                     if mag > best:
@@ -874,7 +851,7 @@ class Matrix:
             rank += 1
             if rank == self.rows:
                 break
-        return rank, [[kernel.scalar(a) for a in row[self.cols:]] for row in work]
+        return rank, [[Scalar(field, a) for a in row[self.cols:]] for row in work]
 
     def rank(self) -> int:
         rank, _ = self._eliminate(None)

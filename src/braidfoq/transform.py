@@ -95,7 +95,7 @@ def double_cover(data: OmegaData) -> OmegaData:
         space4 = GradedSpace(n=space.n, degrees=tuple(2 * a for a in space.degrees),
                              zeta=zeta4, field=big)
         return OmegaData(space=space4, omega=omega, d=2 * data.d)
-    theta = cmath.phase(space.zeta.value)
+    theta = cmath.phase(space.zeta.raw)
     if theta < 0:
         theta += 2 * math.pi
     zeta4 = field.from_complex(cmath.exp(1j * theta / 4))

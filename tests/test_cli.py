@@ -240,6 +240,8 @@ def test_malformed_fuse_label_is_usage_error(capsys):
 
 def test_unknown_field_spec_is_usage_error(capsys):
     assert _exit_code(["suite", "--field", "xx:8"]) == 2
+    assert _exit_code(["suite", "--field", "float:inf"]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
 
 
 def test_suite_bound_below_two_is_usage_error(capsys):
@@ -265,6 +267,36 @@ def test_instance_without_field_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert _exit_code(["validate", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _approx_e1_document():
+    """Fixture E1 over Field.approx(1e-9), each entry its complex value."""
+    data = fixture_e1()
+    field = Field.approx(1e-9)
+    space = GradedSpace(n=data.space.n, degrees=data.space.degrees,
+                        zeta=field.from_complex(data.space.zeta.to_complex()), field=field)
+    omega = data.omega.map_entries(lambda a: field.from_complex(a.to_complex()), field)
+    return OmegaData(space=space, omega=omega, d=data.d).to_json()
+
+
+# where a non-finite value goes -> the error that the load reports
+_NON_FINITE = {"omega": "float scalar must be finite", "zeta": "float scalar must be finite",
+               "tolerance": "must be positive and finite"}
+
+
+@pytest.mark.parametrize("where", list(_NON_FINITE))
+def test_non_finite_approx_instance_is_usage_error(where, tmp_path, capsys):
+    doc = _approx_e1_document()
+    assert _exit_code_on(doc, ["trivrel", "--scan"], tmp_path, capsys)[0] == 0
+    if where == "omega":
+        doc["omega"][0][1]["re"] = float("inf")
+    elif where == "zeta":
+        doc["zeta"]["im"] = float("nan")
+    else:
+        doc["field"]["tolerance"] = float("inf")
+    code, err = _exit_code_on(doc, ["trivrel", "--scan"], tmp_path, capsys)
+    assert code == 2
+    assert _NON_FINITE[where] in err and "Traceback" not in err
 
 
 def _exit_code_on(doc, argv, tmp_path, capsys):

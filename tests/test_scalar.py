@@ -1,3 +1,4 @@
+import functools
 import math
 import pickle
 import random
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidfoq import Field, FieldMismatch, Matrix, Scalar, SingularMatrix
-from braidfoq.scalar import _CycloTable, _RawKernel
+from braidfoq.scalar import _CycloTable
 
 
 def test_root_of_unity_order(f8):
@@ -149,8 +150,8 @@ def test_fields_and_scalars_survive_pickling(f8):
     for field in (f8, approx):
         back = pickle.loads(pickle.dumps(field))
         assert back == field and hash(back) == hash(field)
-    # an unpickled exact field shares the cached reduction table
-    assert pickle.loads(pickle.dumps(f8))._table is f8._table
+    # an unpickled exact field shares the cached per-order kernel
+    assert pickle.loads(pickle.dumps(f8)).kernel is f8.kernel
     exact = f8.root(3) * f8.from_rational(Fraction(2, 3)) + f8.one()
     back = pickle.loads(pickle.dumps(exact))
     assert back == exact and hash(back) == hash(exact)
@@ -190,7 +191,7 @@ def test_approx_singular_matrix():
 # -- the exact kernel against an independent Fraction reference --------------
 
 # Phi_N as {exponent: coefficient}, written out here rather than taken from
-# the library; 48 and 120 are the embedding targets of 24 and 60
+# the library; 48, 120 and 480 are the embedding targets of 24, 60 and 240
 _CYCLOTOMIC = {
     4: {0: 1, 2: 1},
     5: {0: 1, 1: 1, 2: 1, 3: 1, 4: 1},
@@ -202,8 +203,10 @@ _CYCLOTOMIC = {
     48: {0: 1, 8: -1, 16: 1},
     60: {0: 1, 2: 1, 6: -1, 8: -1, 10: -1, 14: 1, 16: 1},
     120: {0: 1, 4: 1, 12: -1, 16: -1, 20: -1, 28: 1, 32: 1},
+    240: {0: 1, 8: 1, 24: -1, 32: -1, 40: -1, 56: 1, 64: 1},
+    480: {0: 1, 16: 1, 48: -1, 64: -1, 80: -1, 112: 1, 128: 1},
 }
-_EMBED_TARGET = {8: 24, 12: 60, 24: 48, 60: 120}
+_EMBED_TARGET = {8: 24, 12: 60, 24: 48, 60: 120, 240: 480}
 
 
 def _ref_reduce(vec, order):
@@ -227,12 +230,17 @@ def _ref_mul(a, b, order):
     return _ref_reduce(prod, order)
 
 
+@functools.lru_cache(maxsize=None)
+def _ref_power(k, order):
+    return tuple(_ref_reduce([Fraction(0)] * k + [Fraction(1)], order))
+
+
 def _ref_substitute(a, step, target):
     """The image of sum a_i x^i under x^i -> x^(i * step) in Q(zeta_target)."""
     out = [Fraction(0)] * max(_CYCLOTOMIC[target])
     for i, c in enumerate(a):
-        image = _ref_reduce([Fraction(0)] * ((i * step) % target) + [Fraction(1)], target)
-        out = [o + c * m for o, m in zip(out, image)]
+        if c:
+            out = [o + c * m for o, m in zip(out, _ref_power((i * step) % target, target))]
     return out
 
 
@@ -246,16 +254,19 @@ def _operand(draw, order):
     deg = max(_CYCLOTOMIC[order])
     if draw(st.booleans()):
         c, k = draw(_fractions), draw(st.integers(0, order - 1))
-        return [c * r for r in _ref_reduce([Fraction(0)] * k + [Fraction(1)], order)]
+        return [c * r for r in _ref_power(k, order)]
     return draw(st.lists(st.one_of(st.just(Fraction(0)), _fractions),
                          min_size=deg, max_size=deg))
 
 
 def _assert_normalised(s):
-    assert len(s.num) == s.field.degree
-    assert s.den > 0 and math.gcd(s.den, *s.num) == 1
-    if not any(s.num):
-        assert s.den == 1
+    """s.raw is the one value format: (n_0, ..., n_{d-1}, den), normalised."""
+    *num, den = s.raw
+    assert type(s.raw) is tuple and len(num) == s.field.degree
+    assert den > 0 and math.gcd(den, *num) == 1
+    if not any(num):
+        assert s.raw == (0,) * s.field.degree + (1,)
+    assert Scalar.from_json(s.to_json(), s.field).raw == s.raw
 
 
 def _assert_matches(got, expected):
@@ -272,7 +283,8 @@ def _assert_matches(got, expected):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_exact_kernel_matches_fraction_reference(data):
-    order = data.draw(st.sampled_from((8, 12, 24, 60)))
+    # 240 (degree 64) runs the sparse loop kernel
+    order = data.draw(st.sampled_from((8, 12, 24, 60, 240)))
     field = Field.cyclotomic(order)
     ra, rb = data.draw(_operand(order)), data.draw(_operand(order))
     a, b = field.from_coeffs(ra), field.from_coeffs(rb)
@@ -319,14 +331,14 @@ def _kernel_operand(draw, order):
 def test_raw_kernel_matches_fraction_reference(data):
     order = data.draw(st.sampled_from((4, 5, 8, 9, 12, 16, 24, 48, 60, 120)))
     field = Field.cyclotomic(order)
-    kernel = _RawKernel(field)
+    kernel = field.kernel
     ra, rb, rp = (data.draw(_kernel_operand(order)) for _ in range(3))
-    a, b, p = (kernel.raw(field.from_coeffs(r)) for r in (ra, rb, rp))
+    a, b, p = (field.from_coeffs(r).raw for r in (ra, rb, rp))
     product = _ref_mul(ra, rb, order)
 
     def expect(got, coeffs):
         # the raw tuple is the normalised Scalar's numerators and denominator
-        assert got == kernel.raw(field.from_coeffs(coeffs))
+        assert got == field.from_coeffs(coeffs).raw
         assert got[-1] > 0 and math.gcd(*got) == 1
         assert kernel.is_zero(got) == (not any(coeffs))
 
@@ -337,7 +349,7 @@ def test_raw_kernel_matches_fraction_reference(data):
     expect(kernel.fms(kernel.mul(a, b), a, b), [Fraction(0)] * field.degree)
     assert kernel.fms(kernel.mul(a, b), b, a) == kernel.zero == (0,) * field.degree + (1,)
     expect(kernel.fms(kernel.zero, a, kernel.one), [-x for x in ra])
-    assert kernel.scalar(kernel.mul(a, b)) == field.from_coeffs(ra) * field.from_coeffs(rb)
+    assert Scalar(field, kernel.mul(a, b)) == field.from_coeffs(ra) * field.from_coeffs(rb)
     if any(ra):
         expect(kernel.mul(a, kernel.inverse(a)), [Fraction(1)] + [Fraction(0)] * (field.degree - 1))
 
@@ -379,15 +391,15 @@ def test_golden_ratio_product_in_q_zeta_5():
        st.complex_numbers(max_magnitude=1e3))
 def test_raw_kernel_on_an_approx_field(p, x, y):
     field = Field.approx(1e-9)
-    kernel = _RawKernel(field)
-    assert kernel.raw(field.from_complex(x)) == x
-    assert kernel.scalar(x) == field.from_complex(x)
-    assert kernel.mul(x, y) == (field.from_complex(x) * field.from_complex(y)).value
+    kernel = field.kernel
+    assert field.from_complex(x).raw == x
+    assert Scalar(field, x) == field.from_complex(x)
+    assert kernel.mul(x, y) == (field.from_complex(x) * field.from_complex(y)).raw
     assert kernel.fms(p, x, y) == p - x * y
     assert kernel.is_zero(kernel.zero) and kernel.is_zero(5e-10) and not kernel.is_zero(2e-9)
     assert kernel.is_zero(kernel.fms(x * y, x, y))
     if abs(x) > 1e-9:
-        assert kernel.inverse(x) == field.from_complex(x).inverse().value
+        assert kernel.inverse(x) == field.from_complex(x).inverse().raw
 
 
 # -- matrix products and elimination against a schoolbook Scalar reference ----
@@ -424,7 +436,7 @@ def _ref_gauss_jordan(m, augment):
         if field.exact:
             pivot = candidates[0]
         else:
-            pivot = max(candidates, key=lambda r: abs(rows[r][col].value))
+            pivot = max(candidates, key=lambda r: abs(rows[r][col].raw))
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = rows[rank][col].inverse()
         rows[rank] = [inv * a for a in rows[rank]]
@@ -442,10 +454,7 @@ def _same_entries(got, expected):
     flat_expected = [a for row in expected for a in row]
     assert len(flat_got) == len(flat_expected)
     for a, b in zip(flat_got, flat_expected):
-        if a.num is None:
-            assert repr(a.value) == repr(b.value)
-        else:
-            assert (a.num, a.den) == (b.num, b.den)
+        assert repr(a.raw) == repr(b.raw)
 
 
 @st.composite
