@@ -70,6 +70,11 @@ class GeneratorSym:
                 raise ValueError(f"{self.kind} needs nonnegative indices")
             if self.power != 1:
                 raise ValueError("only Z carries a power")
+        # hashed once, from integers only: the same under every PYTHONHASHSEED
+        object.__setattr__(self, "_hash", hash((*self.key(), self.grading)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def star(self) -> "GeneratorSym":
         if self.kind == "Z":
@@ -175,6 +180,16 @@ class Word:
     def __post_init__(self):
         if any(g.kind == "Z" for g in self.letters):
             raise ValueError("Z belongs in zexp, not in the letter string")
+
+    def __hash__(self) -> int:
+        # hashed on first use (most words a certifier decodes never are) and
+        # kept; the letters' hashes are integer-only, so this one is too
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.zexp, self.letters))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def key(self) -> tuple:
         return (self.zexp, len(self.letters), tuple(g.key() for g in self.letters))
@@ -644,8 +659,8 @@ class MembershipCertificate:
         if self.verdict != "in_ideal":
             raise ValueError("only in_ideal certificates replay")
         # generic products on purpose: replay checks the certifier's rows
-        # independently of how it built them
-        acc = AlgebraElement.zero(context) if legs == 0 else TensorElement.zero(context, legs)
+        # independently of how it built them; the sum goes into one dict
+        out: dict = {}
         for entry in self.combination:
             rel = relations[entry.rel_index]
             if entry.star:
@@ -656,8 +671,8 @@ class MembershipCertificate:
                 other = AlgebraElement.monomial(context, entry.other)
                 piece = (TensorElement.tensor(piece, other) if entry.leg == 1
                          else TensorElement.tensor(other, piece))
-            acc = acc + piece.scale(entry.coeff)
-        return acc
+            _add_scaled(out, entry.coeff, piece.terms.items())
+        return AlgebraElement(context, out) if legs == 0 else TensorElement(context, legs, out)
 
     def to_json(self) -> dict:
         return {

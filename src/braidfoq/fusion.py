@@ -90,11 +90,8 @@ def fuse(a: IrrepLabel, b: IrrepLabel, ctx: FusionContext) -> FusionDecompositio
     _check_label(a, ctx)
     _check_label(b, ctx)
     l = a.l + b.l
-    rungs = tuple(IrrepLabel(k, l) for k in range(a.k + b.k, abs(a.k - b.k) - 1, -2))
-    decomposition = FusionDecomposition(rungs)
-    assert all(r.valid_in(ctx) for r in rungs)
-    assert decomposition.total_dim(ctx) == dim(a, ctx) * dim(b, ctx)
-    return decomposition
+    return FusionDecomposition(
+        tuple(IrrepLabel(k, l) for k in range(a.k + b.k, abs(a.k - b.k) - 1, -2)))
 
 
 def conj_label(a: IrrepLabel) -> IrrepLabel:

@@ -160,43 +160,66 @@ class ValidationReport:
 
 def validate(data: OmegaData) -> ValidationReport:
     """Check the block condition and extract the scalar c when it holds."""
-    space, d = data.space, data.d
-    if data.omega.rows != data.omega.cols:
+    space, d, omega = data.space, data.d, data.omega
+    if omega.rows != omega.cols:
         raise ValueError("omega must be square")
+    field, entries = space.field, omega.entries
+    kernel = field.kernel
+    fms, is_zero, zero, one = kernel.fms, kernel.is_zero, kernel.zero, kernel.one
     idx = space.degree_indices()
-    occupied = sorted(idx)
-    invertible = data.omega.rank() == space.n
+
+    def _matrix(raw_rows) -> Matrix:
+        return Matrix(field, [[Scalar(field, v) for v in row] for row in raw_rows])
 
     c: Scalar | None = None
     residuals: dict[int, Matrix] = {}
     failure: str | None = None
-    for a in occupied:
-        upper = data.block(a, d - a)
-        lower = data.block(d - a, a)
-        size = len(idx[a])
-        if upper is None or lower is None:
-            # the whole degree-a row band of omega is zero
-            product = Matrix.zeros(space.field, size, size)
-        else:
-            product = upper.conj() @ lower
+    for a in sorted(idx):
+        rows, band = idx[a], idx.get(d - a, ())
+        # conj(Omega_{a,d-a}) @ Omega_{d-a,a} on raw values, each entry formed
+        # as Matrix.__matmul__ forms it (left factors negated, one fms per
+        # step); an unoccupied degree d-a leaves the zero product
+        product = []
+        for i in rows:
+            left = [((-x.conj()).raw, k) for k in band if not (x := entries[i][k]).is_zero()]
+            row = []
+            for j in rows:
+                acc = zero
+                for neg_x, k in left:
+                    y = entries[k][j]
+                    if not y.is_zero():
+                        acc = fms(acc, neg_x, y.raw)
+                row.append(acc)
+            product.append(row)
         phase = space.zeta_pow(d * a)
         if c is None:
             # c is pinned by the lowest occupied degree; later blocks are checked
-            lam = product.scalar_multiple_of_identity()
-            if lam is None:
-                residuals[a] = product
+            lam = product[0][0]
+            if not all(is_zero(fms(p, lam, one) if i == j else p)
+                       for i, row in enumerate(product) for j, p in enumerate(row)):
+                residuals[a] = _matrix(product)
                 failure = failure or "block product is not a scalar multiple of the identity"
                 continue
-            candidate = lam / phase
+            candidate = Scalar(field, lam) / phase
             if candidate.is_zero():
-                residuals[a] = product
+                residuals[a] = _matrix(product)
                 failure = failure or "singular"
                 continue
             c = candidate
-        expected = Matrix.identity(space.field, size).scale(c * phase)
-        residuals[a] = product - expected
-        if not residuals[a].is_zero():
+        expected = (c * phase).raw
+        residual = [[fms(p, expected, one if i == j else zero) for j, p in enumerate(row)]
+                    for i, row in enumerate(product)]
+        residuals[a] = _matrix(residual)
+        if not all(is_zero(v) for row in residual for v in row):
             failure = failure or f"block condition fails at degree {a}"
+
+    if field.exact and failure is None:
+        # every block product is c * zeta^(d*a) * I with c != 0, so each block
+        # Omega_{a,d-a} is square and invertible, and the d-homogeneous omega
+        # permutes them: it is invertible without an elimination
+        invertible = True
+    else:
+        invertible = omega.rank() == space.n
 
     phase_ok = False
     if c is not None:
@@ -206,13 +229,11 @@ def validate(data: OmegaData) -> ValidationReport:
     else:
         failure = failure or "singular"
 
-    holds = (failure is None and c is not None and invertible and phase_ok
-             and all(m.is_zero() for m in residuals.values()))
-    if not holds and failure is None:
-        failure = "singular" if not invertible else "inconsistent blocks"
+    # no failure means c was pinned, every residual is zero and the phase holds
+    holds = failure is None and invertible
     return ValidationReport(holds=holds, c=c, block_residuals=residuals,
                             invertible=invertible, phase_consistency=phase_ok,
-                            reason=None if holds else failure)
+                            reason=None if holds else failure or "singular")
 
 
 def _standard_antisymmetric(field: Field, size: int) -> Matrix:
@@ -357,23 +378,20 @@ def _triviality_factors(data: OmegaData):
       B_i = inv(tilde) @ diag(zeta^(-deg_s*deg_i)) @ conj(inv(tilde)).
     """
     space = data.space
-    n, deg = space.n, space.degrees
-    tilde = omega_tilde(data)
-    tilde_inv = tilde.inverse()  # raises SingularMatrix when not invertible
-    conj_omega = data.omega.conj()
-    conj_tinv = tilde_inv.conj()
-    zero = space.field.zero()
+    n, deg, zero = space.n, space.degrees, space.field.zero()
+    tilde_inv = omega_tilde(data).inverse()  # raises SingularMatrix when not invertible
 
-    def _diag(scale_of):
-        return Matrix(space.field, [
-            [scale_of(t) if s == t else zero for t in range(n)] for s in range(n)])
+    def _times_diag(m: Matrix, phases: list[Scalar]) -> Matrix:
+        # m @ diag(phases) without the diagonal matrix: the next product then
+        # gives the same bits, since a zero entry of m stays exactly zero
+        return Matrix(space.field, [[zero if x.is_zero() else x * p for x, p in zip(row, phases)]
+                                    for row in m.entries])
 
-    a_mats = []
-    b_mats = []
-    for j in range(n):
-        a_mats.append(conj_omega @ _diag(lambda t: space.zeta_pow(deg[j] * deg[t])) @ data.omega)
-    for i in range(n):
-        b_mats.append(tilde_inv @ _diag(lambda s: space.zeta_pow(-deg[s] * deg[i])) @ conj_tinv)
+    conj_omega, conj_tinv = data.omega.conj(), tilde_inv.conj()
+    a_mats = [_times_diag(conj_omega, [space.zeta_pow(deg[j] * deg[t]) for t in range(n)])
+              @ data.omega for j in range(n)]
+    b_mats = [_times_diag(tilde_inv, [space.zeta_pow(-deg[s] * deg[i]) for s in range(n)])
+              @ conj_tinv for i in range(n)]
     return a_mats, b_mats
 
 

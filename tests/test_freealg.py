@@ -717,3 +717,109 @@ def test_comult_sums_match_repeated_addition():
             two = apply_comult(cancelling, _overlapping_images(presentation))
             single = TensorElement.tensor(u[0], AlgebraElement.one(ctx))
             assert two - apply_comult(u[0], presentation) == single
+
+
+# -- hash-once words -----------------------------------------------------------
+
+
+# letters with and without indices (Z's are None) and words built from them;
+# run here and in subprocesses under other hash seeds
+_HASH_PROBE = """
+from braidfoq.freealg import GeneratorSym, Word
+u01 = GeneratorSym("U", 0, 1, grading=1)
+letters = (u01, GeneratorSym("Ustar", 1, 0, grading=-1), GeneratorSym("X", 1, 1),
+           GeneratorSym("Xstar", 0, 1), GeneratorSym("Z", power=-2))
+words = (Word(0, ()), Word(3, (u01,)), Word(-1, letters[:4]))
+hashes = [hash(x) for x in (*letters, *words)]
+"""
+
+
+def _hash_probe():
+    scope: dict = {}
+    exec(_HASH_PROBE, scope)
+    return scope
+
+
+def test_word_and_letter_hashes_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _HASH_PROBE + "print(*hashes)"], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert [int(h) for h in out.split()] == _hash_probe()["hashes"]
+
+
+def test_pickled_word_finds_its_dict_entry():
+    import pickle
+
+    words = _hash_probe()["words"]
+    table = {w: k for k, w in enumerate(words)}
+    for k, w in enumerate(words):
+        assert table[pickle.loads(pickle.dumps(w))] == k
+        # a never-hashed copy, pickled before and after its first hash
+        fresh = Word(w.zexp, w.letters)
+        before = pickle.dumps(fresh)
+        assert table[fresh] == k
+        assert table[pickle.loads(before)] == k
+        assert table[pickle.loads(pickle.dumps(fresh))] == k
+
+
+def test_words_differing_only_in_a_letter_grading_are_unequal():
+    low, high = GeneratorSym("U", 0, 1, grading=1), GeneratorSym("U", 0, 1, grading=7)
+    assert low != high and low.key() == high.key()
+    a, b = Word(0, (low, low)), Word(0, (low, high))
+    assert a != b and a.key() == b.key()
+    assert len({a: 1, b: 2}) == 2 and len({low, high}) == 2
+
+
+# -- linear-time replay against repeated + ------------------------------------
+
+
+def _ref_replay(cert, relations, context, legs):
+    """MembershipCertificate.replay as a sum with one + per entry."""
+    acc = AlgebraElement.zero(context) if legs == 0 else TensorElement.zero(context, legs)
+    for entry in cert.combination:
+        rel = relations[entry.rel_index]
+        if entry.star:
+            rel = rel.adjoint()
+        piece = (AlgebraElement.monomial(context, entry.left) * rel
+                 * AlgebraElement.monomial(context, entry.right))
+        if legs:
+            other = AlgebraElement.monomial(context, entry.other)
+            piece = (TensorElement.tensor(piece, other) if entry.leg == 1
+                     else TensorElement.tensor(other, piece))
+        acc = acc + piece.scale(entry.coeff)
+    return acc
+
+
+@pytest.mark.parametrize("fixture, present", [("e1", bosonisation_presentation),
+                                              ("e2", bosonisation_presentation),
+                                              ("e1", t_form_presentation)])
+def test_replay_sums_match_repeated_addition(request, fixture, present):
+    from dataclasses import replace
+
+    presentation = present(request.getfixturevalue(fixture))
+    ctx = presentation.context
+    relations = list(presentation.relations)
+    report = well_definedness_check(presentation, 3)
+    replayed = 0
+    for record in report["relations"]:
+        cert = record["certificate"]
+        if record["verdict"] != "in_ideal" or not cert.combination:
+            continue
+        got = cert.replay(relations, ctx, legs=2)
+        _same_terms(got, _ref_replay(cert, relations, ctx, 2))
+        target = apply_comult(presentation.relation(record["relation"]), presentation)
+        assert got == target
+        # one coefficient times zeta: the combination no longer sums to the target
+        k = len(cert.combination) // 2
+        entries = list(cert.combination)
+        entries[k] = replace(entries[k], coeff=entries[k].coeff * ctx.zeta)
+        assert replace(cert, combination=tuple(entries)).replay(relations, ctx, legs=2) != target
+        replayed += 1
+    assert replayed >= 5

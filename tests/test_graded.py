@@ -288,3 +288,140 @@ def test_triviality_scan_matches_brute_force_reference(e1, f8):
     expected = _reference_scan(infinite)
     assert expected
     _same_violations(triviality_scan(infinite), expected)
+
+
+# -- validate on raw values against the Matrix-based reference ----------------
+
+
+def _reference_validate(data):
+    """The block condition checked with Matrix arithmetic throughout:
+    block(), conj, @, identity, scale and -, and an elimination for the rank."""
+    from braidfoq import Scalar, ValidationReport
+
+    space, d = data.space, data.d
+    idx = space.degree_indices()
+    invertible = data.omega.rank() == space.n
+    c: Scalar | None = None
+    residuals = {}
+    failure = None
+    for a in sorted(idx):
+        upper = data.block(a, d - a)
+        lower = data.block(d - a, a)
+        size = len(idx[a])
+        if upper is None or lower is None:
+            product = Matrix.zeros(space.field, size, size)
+        else:
+            product = upper.conj() @ lower
+        phase = space.zeta_pow(d * a)
+        if c is None:
+            lam = product.scalar_multiple_of_identity()
+            if lam is None:
+                residuals[a] = product
+                failure = failure or "block product is not a scalar multiple of the identity"
+                continue
+            candidate = lam / phase
+            if candidate.is_zero():
+                residuals[a] = product
+                failure = failure or "singular"
+                continue
+            c = candidate
+        expected = Matrix.identity(space.field, size).scale(c * phase)
+        residuals[a] = product - expected
+        if not residuals[a].is_zero():
+            failure = failure or f"block condition fails at degree {a}"
+    phase_ok = False
+    if c is not None:
+        phase_ok = (c.conj() / c) == space.zeta_pow(d * d)
+        if not phase_ok:
+            failure = failure or "conj(c)/c != zeta^(d^2)"
+    else:
+        failure = failure or "singular"
+    holds = (failure is None and c is not None and invertible and phase_ok
+             and all(m.is_zero() for m in residuals.values()))
+    if not holds and failure is None:
+        failure = "singular" if not invertible else "inconsistent blocks"
+    return ValidationReport(holds=holds, c=c, block_residuals=residuals,
+                            invertible=invertible, phase_consistency=phase_ok,
+                            reason=None if holds else failure)
+
+
+def _same_report(got, expected):
+    assert (got.holds, got.reason, got.invertible, got.phase_consistency) == (
+        expected.holds, expected.reason, expected.invertible, expected.phase_consistency)
+    assert (got.c is None) == (expected.c is None)
+    if got.c is not None:
+        assert repr(got.c.raw) == repr(expected.c.raw)
+    assert sorted(got.block_residuals) == sorted(expected.block_residuals)
+    for a, m in expected.block_residuals.items():
+        assert got.block_residuals[a].is_zero() == m.is_zero()
+
+
+def _zero_row_cases(f8):
+    z = f8.root(1)
+    zero, one = f8.zero(), f8.one()
+    e1_space = GradedSpace(n=2, degrees=(0, 1), zeta=f8.root(2), field=f8)
+    cases = [OmegaData(space=e1_space, d=1, omega=Matrix(f8, [[zero, zero], [z, zero]])),
+             OmegaData(space=e1_space, d=1, omega=Matrix(f8, [[zero, z ** 7], [zero, zero]]))]
+    # degree 1 has no partner at d = 0, so its row band must vanish
+    lone = GradedSpace(n=2, degrees=(0, 1), zeta=f8.root(2), field=f8)
+    cases.append(OmegaData(space=lone, d=0, omega=Matrix(f8, [[one, zero], [zero, zero]])))
+    # one zero row inside a two-dimensional block
+    wide = GradedSpace(n=4, degrees=(0, 0, 1, 1), zeta=f8.root(2), field=f8)
+    rows = [[zero, zero, one, z], [zero] * 4, [one, zero, zero, zero], [zero, one, zero, zero]]
+    cases.append(OmegaData(space=wide, d=1, omega=Matrix(f8, rows)))
+    return cases
+
+
+def test_validate_matches_matrix_reference(f8):
+    rng = random.Random(11)
+    cases = _zero_row_cases(f8)
+    for order in (4, 8, 12, 24):
+        for n in (2, 3, 4, 5, 6):
+            inst = random_valid_instance(rng, n=n, order=order)
+            cases.append(inst)
+            for _ in range(2):
+                mutant = mutate_one_entry(rng, inst)
+                if mutant is not None:
+                    cases.append(mutant)
+    outcomes = set()
+    for data in cases:
+        for variant in (data, _as_approx(data)):
+            report = validate(variant)
+            assert report.invertible == (variant.omega.rank() == variant.space.n)
+            _same_report(report, _reference_validate(variant))
+            outcomes.add((report.holds, report.invertible, (report.reason or "").split(" at ")[0]))
+    assert len(outcomes) >= 5
+
+
+def test_triviality_factors_match_diagonal_products():
+    from braidfoq.graded import _triviality_factors
+
+    def _diag(field, values):
+        zero = field.zero()
+        return Matrix(field, [[v if s == t else zero for t, v in enumerate(values)]
+                              for s in range(len(values))])
+
+    rng = random.Random(12)
+    cases = [random_valid_instance(rng, n=rng.choice([2, 3, 4]), order=rng.choice([4, 8, 24]))
+             for _ in range(6)]
+    approx = _as_approx(cases[0])
+    omega = [list(row) for row in approx.omega.entries]
+    i, j = next((i, j) for i in range(approx.space.n) for j in range(approx.space.n)
+                if not omega[i][j].is_zero())
+    omega[i][j] = approx.space.field.from_complex(complex(float("inf"), -0.0))
+    infinite = OmegaData(space=approx.space, omega=Matrix(approx.space.field, omega), d=approx.d)
+    for data in [*cases, *map(_as_approx, cases), infinite]:
+        space = data.space
+        n, deg, field = space.n, space.degrees, space.field
+        tilde_inv = omega_tilde(data).inverse()
+        a_mats, b_mats = _triviality_factors(data)
+        for j in range(n):
+            expected = (data.omega.conj() @ _diag(field, [space.zeta_pow(deg[j] * deg[t])
+                                                          for t in range(n)]) @ data.omega)
+            assert [repr(a.raw) for row in a_mats[j].entries for a in row] == [
+                repr(a.raw) for row in expected.entries for a in row]
+        for i in range(n):
+            expected = (tilde_inv @ _diag(field, [space.zeta_pow(-deg[s] * deg[i])
+                                                  for s in range(n)]) @ tilde_inv.conj())
+            assert [repr(b.raw) for row in b_mats[i].entries for b in row] == [
+                repr(b.raw) for row in expected.entries for b in row]
