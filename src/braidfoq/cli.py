@@ -12,7 +12,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .freealg import _intertwiner_holds, coassociativity_check, well_definedness_check
+from .freealg import DEFAULT_ROW_CAP, _intertwiner_holds, coassociativity_check, \
+    well_definedness_check
 from .fusion import FusionContext, IrrepLabel, dim, fuse, q_parameter
 from .graded import GradedSpace, OmegaData, f_matrix, irreducibility_test, solve_omega, \
     triviality_scan, validate
@@ -27,8 +28,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
-
-DEFAULT_ROW_CAP = 2_000_000
 
 
 class UsageError(Exception):
@@ -133,7 +132,7 @@ def _parse_scalar(text: str, field: Field) -> Scalar:
         data = None
     if isinstance(data, dict):
         return Scalar.from_json(data, field)
-    if isinstance(data, (int, float)) and field.exact:
+    if isinstance(data, (int, float)):
         return field.from_rational(Fraction(data))
     if "/" in text:
         return field.from_rational(Fraction(text))
@@ -289,7 +288,7 @@ def _cmd_suite(args) -> int:
     try:
         config = RunConfig(seed=args.seed, degree_bound=args.bound,
                            row_cap=args.row_cap, workers=args.workers,
-                           field=args.field, output=args.out)
+                           field=args.field)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     report = run_suite(config)

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 _KIND_RANK = {"U": 0, "Ustar": 1, "X": 2, "Xstar": 3, "Z": 4}
+# the membership row cap when the caller names none
+DEFAULT_ROW_CAP = 2_000_000
 _STAR = {"U": "Ustar", "Ustar": "U", "X": "Xstar", "Xstar": "X", "Z": "Z"}
 
 
@@ -118,9 +120,8 @@ class AlgebraContext:
     def __post_init__(self):
         if self.zeta.field != self.field:
             raise ValueError("zeta must live in the context field")
-        # the z-rewriting and zeta_pow take conj(zeta) as the inverse of zeta
-        if not (self.zeta * self.zeta.conj()).is_one():
-            raise ValueError("zeta must have modulus one")
+        # PhasePowers checks that zeta has modulus one: the z-rewriting takes
+        # zeta_pow(-e) as the inverse of zeta^e
         object.__setattr__(self, "zeta_pow", PhasePowers(self.zeta))
 
     @property
@@ -158,6 +159,19 @@ class AlgebraContext:
         """The U, Ustar, X or Xstar generator (i, j) with its derived grading."""
         factories = {"U": self.u, "Ustar": self.ustar, "X": self.x, "Xstar": self.xstar}
         return factories[kind](i, j)
+
+    def _check_letter(self, letter: GeneratorSym) -> None:
+        """Reject an index out of range or a stored grading that is not the
+        derived one: ``GeneratorSym.key()`` is a total order on checked letters."""
+        if letter.kind == "Z":
+            derived = self.z(letter.power)
+        elif max(letter.i, letter.j) >= self.n:
+            raise ValueError(f"generator {letter.display()} is out of range for n = {self.n}")
+        else:
+            derived = self.letter(letter.kind, letter.i, letter.j)
+        if letter.grading != derived.grading:
+            raise ValueError(f"generator {letter.display()} has grading {letter.grading}, "
+                             f"expected {derived.grading}")
 
     def to_json(self) -> dict:
         return {"field": self.field.to_json(), "zeta": self.zeta.to_json(),
@@ -331,7 +345,11 @@ class _Combination:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._space() == other._space() and (self - other).is_zero()
+        # zero terms are never stored, so equal elements have equal supports
+        # and, term by term, coefficients whose difference is zero
+        theirs = other.terms
+        return (self._space() == other._space() and self.terms.keys() == theirs.keys()
+                and all(c == theirs[key] for key, c in self.terms.items()))
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is not hashable")
@@ -699,8 +717,8 @@ class IdealCertifier:
     Columns are interned words: a ``Word`` becomes the int tuple
     ``(zexp, len, letter_codes)`` when a relation or target comes in, and
     goes back to a ``Word`` only in certificate entries and residuals.
-    A letter's grading is checked against the context when it is interned,
-    so ``GeneratorSym.key()`` is a total order on the letters a certifier
+    A letter is checked against the context when it is interned, so
+    ``GeneratorSym.key()`` is a total order on the letters a certifier
     sees; letter codes are the key's rank, so the tuple order of an
     interned word is ``Word.key()`` order, and hashing and comparing
     columns never touches a dataclass.
@@ -721,7 +739,7 @@ class IdealCertifier:
     """
 
     def __init__(self, context: AlgebraContext, relations, degree_bound: int,
-                 row_cap: int = 2_000_000, workers: int = 1):
+                 row_cap: int = DEFAULT_ROW_CAP, workers: int = 1):
         self.context = context
         self.relations = list(relations)
         self.degree_bound = degree_bound
@@ -780,22 +798,13 @@ class IdealCertifier:
     # interned words -------------------------------------------------------
 
     def _letter_code(self, letter: GeneratorSym) -> int:
-        """The letter's code, interning it on first sight.
-
-        Codes follow ``GeneratorSym.key()``.  Two letters equal in key but
-        not in grading would break that order on words, so a stored grading
-        is checked against the context's, as the presentation loader does.
-        """
+        """The letter's code, interning it on first sight; codes follow
+        ``GeneratorSym.key()``, which is a total order on checked letters."""
         code = self._codes.get(letter)
         if code is not None:
             return code
+        self.context._check_letter(letter)
         n = self.context.n
-        if max(letter.i, letter.j) >= n:
-            raise ValueError(f"generator {letter.display()} is out of range for n = {n}")
-        derived = self.context.letter(letter.kind, letter.i, letter.j)
-        if letter.grading != derived.grading:
-            raise ValueError(f"generator {letter.display()} has grading {letter.grading}, "
-                             f"expected {derived.grading}")
         code = (_KIND_RANK[letter.kind] * n + letter.i) * n + letter.j
         self._codes[letter] = code
         self._letters[code] = letter
@@ -990,28 +999,37 @@ class IdealCertifier:
                                      coeff=Scalar(self.context.field, combo[rid])))
         return entries
 
+    def _verdict(self, residual, target_words, reductions) -> MembershipCertificate:
+        """The certificate of a target whose reduction left the encoded words
+        ``residual``.  An empty residual is in_ideal, even under a capped
+        closure, since the combination replays; the (hits, leg, other) of each
+        reduction become its entries.  Otherwise a capped closure leaves the
+        target undecided, and a target or residual on the empty word alone is
+        a nonzero constant."""
+        if not residual:
+            entries = [entry for hits, leg, other in reductions
+                       for entry in self._entries_from_combo(self._combo_from_hits(hits),
+                                                             leg, other)]
+            return MembershipCertificate("in_ideal", self.degree_bound, tuple(entries))
+        if self.capped:
+            return MembershipCertificate("undecided_at_bound", self.degree_bound)
+        constant = (all(w.is_identity() for w in target_words)
+                    or all(w == (0, 0, ()) for w in residual))
+        verdict = "nonzero_constant_obstruction" if constant else "undecided_at_bound"
+        return MembershipCertificate(verdict, self.degree_bound)
+
     def certify_element(self, element: AlgebraElement) -> MembershipCertificate:
         vec = {self._encode(w): c.raw for w, c in element.terms.items()}
         self._ensure_closure(vec)
         residual, hits = self._reduce_vector(vec)
-        if not residual:
-            # sound even under a capped closure: the combination replays
-            combo = self._combo_from_hits(hits)
-            return MembershipCertificate("in_ideal", self.degree_bound,
-                                         tuple(self._entries_from_combo(combo, 0, None)))
-        if self.capped:
-            return MembershipCertificate("undecided_at_bound", self.degree_bound)
-        constant = (all(w.is_identity() for w in element.terms)
-                    or all(w == (0, 0, ()) for w in residual))
-        verdict = "nonzero_constant_obstruction" if constant else "undecided_at_bound"
-        return MembershipCertificate(verdict, self.degree_bound)
+        return self._verdict(residual, element.terms, [(hits, 0, None)])
 
     def certify_tensor(self, target: TensorElement) -> MembershipCertificate:
         if target.legs != 2:
             raise ValueError("tensor certification is for 2-leg targets")
         encoded = {w: self._encode(w) for ws in target.terms for w in ws}
         self._ensure_closure(encoded.values())
-        entries: list[CertEntry] = []
+        reductions = []
 
         # leg 1 is reduced over each leg-2 monomial, then leg 2 over each
         # leg-1 monomial of what is left
@@ -1024,24 +1042,15 @@ class IdealCertifier:
             final = {}
             for other in sorted(by_other):
                 residual, hits = self._reduce_vector(by_other[other])
-                entries.extend(self._entries_from_combo(self._combo_from_hits(hits), leg,
-                                                        self._decode(other)))
+                reductions.append((hits, leg, self._decode(other)))
                 for w, c in residual.items():
                     final[(w, other) if leg == 1 else (other, w)] = c
-
-        if not final:
-            # sound even under a capped closure: the combination replays
-            return MembershipCertificate("in_ideal", self.degree_bound, tuple(entries))
-        if self.capped:
-            return MembershipCertificate("undecided_at_bound", self.degree_bound)
-        constant = (all(all(w.is_identity() for w in ws) for ws in target.terms)
-                    or all(w1 == w2 == (0, 0, ()) for w1, w2 in final))
-        verdict = "nonzero_constant_obstruction" if constant else "undecided_at_bound"
-        return MembershipCertificate(verdict, self.degree_bound)
+        return self._verdict([w for pair in final for w in pair],
+                             [w for ws in target.terms for w in ws], reductions)
 
 
 def ideal_membership(target, relations, degree_bound: int, *,
-                     row_cap: int = 2_000_000, workers: int = 1) -> MembershipCertificate:
+                     row_cap: int = DEFAULT_ROW_CAP, workers: int = 1) -> MembershipCertificate:
     """Certify membership of a target in the bounded two-sided relation span.
 
     ``workers`` is accepted for compatibility; the certifier is
@@ -1056,7 +1065,7 @@ def ideal_membership(target, relations, degree_bound: int, *,
 
 
 def well_definedness_check(presentation, degree_bound: int, *,
-                           row_cap: int = 2_000_000, workers: int = 1) -> dict:
+                           row_cap: int = DEFAULT_ROW_CAP, workers: int = 1) -> dict:
     """Certify that the comultiplication respects every defining relation.
 
     For each relation r the 2-leg image of r under the comultiplication is
@@ -1065,33 +1074,25 @@ def well_definedness_check(presentation, degree_bound: int, *,
     ``workers`` is accepted for compatibility and changes nothing: the
     certifier is single-threaded.
     """
-    context = presentation.context
     certifier = None
     results = []
-    all_in = True
-    for idx, rel in enumerate(presentation.relations):
-        label = presentation.relation_labels[idx]
+    for label, rel in zip(presentation.relation_labels, presentation.relations):
         if rel.is_zero():
-            results.append({"relation": label, "verdict": "in_ideal",
-                            "certificate": MembershipCertificate("in_ideal", degree_bound)})
-            continue
-        target = apply_comult(rel, presentation)
-        if (target.max_leg_length() > degree_bound
-                or target.max_leg_zexp() > degree_bound
-                or rel.max_word_length() > degree_bound
-                or rel.max_abs_zexp() > degree_bound):
-            results.append({"relation": label, "verdict": "undecided_at_bound",
-                            "certificate": MembershipCertificate("undecided_at_bound",
-                                                                 degree_bound)})
-            all_in = False
-            continue
-        if certifier is None:
-            certifier = IdealCertifier(context, presentation.relations, degree_bound,
-                                       row_cap=row_cap, workers=workers)
-        cert = certifier.certify_tensor(target)
+            cert = MembershipCertificate("in_ideal", degree_bound)
+        else:
+            target = apply_comult(rel, presentation)
+            if (target.max_leg_length() > degree_bound
+                    or target.max_leg_zexp() > degree_bound
+                    or rel.max_word_length() > degree_bound
+                    or rel.max_abs_zexp() > degree_bound):
+                cert = MembershipCertificate("undecided_at_bound", degree_bound)
+            else:
+                if certifier is None:
+                    certifier = IdealCertifier(presentation.context, presentation.relations,
+                                               degree_bound, row_cap=row_cap, workers=workers)
+                cert = certifier.certify_tensor(target)
         results.append({"relation": label, "verdict": cert.verdict, "certificate": cert})
-        if cert.verdict != "in_ideal":
-            all_in = False
+    all_in = all(r["verdict"] == "in_ideal" for r in results)
     return {"relations": results, "all_in_ideal": all_in, "degree_bound": degree_bound}
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graded import GradedSpace, OmegaData, f_matrix, validate
+from .graded import GradedSpace, OmegaData, f_matrix
 from .scalar import Field, Matrix, Scalar
 from .transform import reduce_to_degree_zero
 
@@ -223,9 +223,6 @@ def q_parameter(data: OmegaData) -> dict:
     and fix sign(q) = -sign(c); the sign rule is pinned by the reference
     family above rather than asserted a priori.
     """
-    report = validate(data)
-    if not report.holds:
-        raise ValueError(f"instance fails the block condition: {report.reason}")
     trace_data = reduce_to_degree_zero(data)
     final = trace_data.final
     F = f_matrix(final)

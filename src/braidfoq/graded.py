@@ -54,8 +54,6 @@ class GradedSpace:
             raise ValueError("degrees must be sorted ascending")
         if self.zeta.field != self.field:
             raise ValueError("zeta must live in the declared field")
-        if not (self.zeta * self.zeta.conj()).is_one():
-            raise ValueError("zeta must have modulus one")
         object.__setattr__(self, "zeta_pow", PhasePowers(self.zeta))
 
     def degree_indices(self) -> dict[int, list[int]]:
@@ -118,14 +116,7 @@ class OmegaData:
                       [[self.omega[i, j] for j in cols] for i in rows])
 
     def to_json(self) -> dict:
-        out = {
-            "n": self.space.n,
-            "degrees": list(self.space.degrees),
-            "zeta": self.space.zeta.to_json(),
-            "d": self.d,
-            "field": self.space.field.to_json(),
-            "omega": self.omega.to_json(),
-        }
+        out = {**self.space.to_json(), "d": self.d, "omega": self.omega.to_json()}
         if self.branch_warning:
             out["branch_warning"] = True
         return out
@@ -234,6 +225,13 @@ def validate(data: OmegaData) -> ValidationReport:
     return ValidationReport(holds=holds, c=c, block_residuals=residuals,
                             invertible=invertible, phase_consistency=phase_ok,
                             reason=None if holds else failure or "singular")
+
+
+def _require_block_condition(data: OmegaData) -> None:
+    """Raise ValueError naming the reason when the instance fails validation."""
+    report = validate(data)
+    if not report.holds:
+        raise ValueError(f"instance fails the block condition: {report.reason}")
 
 
 def _standard_antisymmetric(field: Field, size: int) -> Matrix:
@@ -482,9 +480,7 @@ def irreducibility_test(space: GradedSpace, omega: Matrix, d: int) -> tuple[bool
 
 def f_matrix(data: OmegaData) -> Matrix:
     """F[i][j] = zeta^(d*deg_j) * omega[j][i]; for d = 0 this is omega^T."""
-    report = validate(data)
-    if not report.holds:
-        raise ValueError(f"data does not satisfy the block condition: {report.reason}")
+    _require_block_condition(data)
     space = data.space
     deg = space.degrees
     return Matrix(space.field, [

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .freealg import (AlgebraContext, AlgebraElement, GeneratorSym, TensorElement,
                       Word, _substitute_words)
-from .graded import OmegaData, f_matrix, validate
+from .graded import OmegaData, _require_block_condition, f_matrix
 from .scalar import Field, Matrix, Scalar, SingularMatrix
 
 __all__ = [
@@ -61,9 +61,7 @@ class Presentation:
 
 def _graded_context(data: OmegaData) -> AlgebraContext:
     """Check the block condition, then build the context of the instance's grading."""
-    report = validate(data)
-    if not report.holds:
-        raise ValueError(f"instance fails the block condition: {report.reason}")
+    _require_block_condition(data)
     space = data.space
     return AlgebraContext(field=space.field, zeta=space.zeta, degrees=space.degrees)
 
@@ -429,17 +427,7 @@ def deserialize_presentation(text: str) -> Presentation:
             for word in legs:
                 letters.extend(word.letters)
     for g in letters:
-        if g.kind == "Z":
-            derived = context.z(g.power)
-        elif max(g.i, g.j) >= context.n:
-            raise ValueError(f"generator {g.display()} is out of range for n = {context.n}")
-        else:
-            derived = context.letter(g.kind, g.i, g.j)
-        # a stored grading is checked, not trusted, so GeneratorSym.key() is a
-        # total order on loaded letters
-        if g.grading != derived.grading:
-            raise ValueError(f"generator {g.display()} has grading {g.grading}, "
-                             f"expected {derived.grading}")
+        context._check_letter(g)
     labels = tuple(data["relation_labels"])
     if not all(isinstance(label, str) for label in labels):
         raise ValueError("relation labels must be strings")

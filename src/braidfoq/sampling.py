@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .graded import GradedSpace, OmegaData, _default_c, solve_omega, validate
+from .graded import GradedSpace, OmegaData, _default_c, solve_omega
 from .scalar import Field, Matrix, Scalar
 
 __all__ = [
@@ -72,8 +72,7 @@ def _random_degree_pattern(rng: random.Random, n: int, d: int):
 
 
 def random_valid_instance(rng: random.Random, n: int | None = None,
-                          order: int | None = None, d: int | None = None,
-                          scale_c: bool = True) -> OmegaData:
+                          order: int | None = None, d: int | None = None) -> OmegaData:
     """A random instance satisfying the block condition, built by solving.
 
     Mixes degree patterns, includes middle blocks for even d, and scales
@@ -91,10 +90,8 @@ def random_valid_instance(rng: random.Random, n: int | None = None,
     space = GradedSpace(n=n, degrees=degrees, zeta=zeta, field=field)
 
     free_blocks = {a: random_invertible_matrix(rng, field, k) for a, k in sizes.items()}
-    c = _default_c(space, d)
-    if scale_c:
-        c = c * field.from_rational(rng.choice([Fraction(1), Fraction(1), Fraction(4, 9),
-                                                Fraction(9, 4), Fraction(1, 4)]))
+    c = _default_c(space, d) * field.from_rational(
+        rng.choice([Fraction(1), Fraction(1), Fraction(4, 9), Fraction(9, 4), Fraction(1, 4)]))
     return solve_omega(space, d, free_blocks, c)
 
 

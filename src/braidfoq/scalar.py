@@ -675,13 +675,16 @@ class PhasePowers:
     """Integer powers of a modulus-one scalar, memoised by exponent.
 
     A negative exponent is the power of the conjugate, which is the inverse
-    of a modulus-one scalar.  The memo is keyed by the integer exponent, so
-    it works for approx scalars too, which are not hashable.
+    of a modulus-one scalar, so a base off the unit circle is rejected.  The
+    memo is keyed by the integer exponent, so it works for approx scalars
+    too, which are not hashable.
     """
 
     __slots__ = ("base", "_powers")
 
     def __init__(self, base: Scalar):
+        if not (base * base.conj()).is_one():
+            raise ValueError("zeta must have modulus one")
         self.base = base
         self._powers: dict[int, Scalar] = {}
 

@@ -11,7 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .freealg import AlgebraElement, TensorElement, Word, apply_comult, \
+from .freealg import DEFAULT_ROW_CAP, AlgebraElement, TensorElement, Word, apply_comult, \
     coassociativity_check, expand_three_legs, intertwiner_check, \
     well_definedness_check
 from .fusion import FusionContext, IrrepLabel, fuse, q_parameter, ring_checks, \
@@ -39,10 +39,9 @@ class RunConfig:
 
     seed: int = 42
     degree_bound: int = 3
-    row_cap: int = 2_000_000
+    row_cap: int = DEFAULT_ROW_CAP
     workers: int = 1
     field: Field | None = None
-    output: str | None = None
 
     def __post_init__(self):
         if self.degree_bound < 2:

@@ -7,7 +7,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .graded import GradedSpace, OmegaData, validate
+from .graded import GradedSpace, OmegaData, _require_block_condition, validate
 from .scalar import Field, Matrix
 
 __all__ = [
@@ -107,9 +107,7 @@ def double_cover(data: OmegaData) -> OmegaData:
 
 def reduce_to_degree_zero(data: OmegaData) -> ReductionTrace:
     """Canonical route to d = 0: midpoint shift, with a cover first when d is odd."""
-    report = validate(data)
-    if not report.holds:
-        raise ValueError(f"cannot reduce an invalid instance: {report.reason}")
+    _require_block_condition(data)
     parity = "k_minus_l_even" if data.d % 2 else "none"
     steps: list[tuple] = []
     current = data

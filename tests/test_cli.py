@@ -459,3 +459,26 @@ def test_fuzzed_presentation_documents_keep_the_exit_contract(argv, doc):
 def test_fuzzed_blocks_documents_keep_the_exit_contract(extra, doc):
     _run_on_document(["solve", "--degrees", "0,1", "--d", "1", "--zeta", "6"] + extra
                      + ["--blocks"], doc)
+
+
+def _approx_solve(tmp_path, capsys, *extra):
+    field = Field.approx(1e-10)
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps({"0": Matrix(field, [[field.from_complex(1.0)]]).to_json()}))
+    code = main(["solve", "--field", "float:1e-10", "--degrees", "0,2", "--d", "2",
+                 "--blocks", str(blocks), *extra])
+    return code, capsys.readouterr().out
+
+
+def test_solve_in_an_approx_field_reads_plain_numbers(tmp_path, capsys):
+    # the default --zeta 1 is read as the value 1, as is an integer or p/q --c
+    code, out = _approx_solve(tmp_path, capsys)
+    assert code == 0
+    solved = tmp_path / "solved.json"
+    solved.write_text(out)
+    assert main(["validate", str(solved)]) == 0
+    capsys.readouterr()
+    for c, value in (("1/4", 0.25), ("2", 2.0)):
+        code, out = _approx_solve(tmp_path, capsys, "--c", c)
+        assert code == 0
+        assert json.loads(out)["c"] == {"kind": "float", "re": value, "im": 0.0}

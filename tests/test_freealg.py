@@ -823,3 +823,123 @@ def test_replay_sums_match_repeated_addition(request, fixture, present):
         assert replace(cert, combination=tuple(entries)).replay(relations, ctx, legs=2) != target
         replayed += 1
     assert replayed >= 5
+
+
+# -- verdict precedence --------------------------------------------------------
+
+
+def test_verdict_precedence_under_a_row_cap(boson_e1):
+    # an empty residual is in_ideal even under a capped closure; otherwise a
+    # cap gives undecided before a constant target gives an obstruction
+    from braidfoq.freealg import IdealCertifier
+
+    ctx, relations = boson_e1.context, list(boson_e1.relations)
+
+    def certify(target, **kwargs):
+        if isinstance(target, TensorElement):
+            return IdealCertifier(ctx, relations, 3, **kwargs).certify_tensor(target)
+        return ideal_membership(target, relations, 3, **kwargs)
+
+    for one in (AlgebraElement.one(ctx), TensorElement.one(ctx)):
+        assert certify(one).verdict == "nonzero_constant_obstruction"
+        assert certify(one, row_cap=1).verdict == "undecided_at_bound"
+    # the one row a cap of 1 admits is relations[0] itself, seen from the word 1
+    rel = relations[0].scale(ctx.zeta)
+    for target, legs in ((rel, 0), (TensorElement.tensor(rel, AlgebraElement.one(ctx)), 2)):
+        cert = certify(target, row_cap=1)
+        assert cert.verdict == "in_ideal"
+        assert cert.replay(relations, ctx, legs=legs) == target
+
+
+# -- combination equality against the zero difference ---------------------------
+
+
+def _random_combination_pairs(ctx, rng, tolerance):
+    """Pairs (a, b) of AlgebraElements and 2-leg TensorElements over ctx: equal,
+    differing in one coefficient (by just under and just over the tolerance
+    in approx mode), and differing in their key sets."""
+    field = ctx.field
+    letters = [ctx.u(i, j) for i in range(ctx.n) for j in range(ctx.n)]
+    letters += [g.star() for g in letters]
+    words = sorted({Word(rng.randrange(-1, 2), tuple(rng.choice(letters)
+                                                     for _ in range(rng.randrange(3))))
+                    for _ in range(12)}, key=Word.key)
+
+    def coeff():
+        if field.exact:
+            return field.root(rng.randrange(field.order)) * field.from_rational(
+                rng.choice([1, 2, -3]))
+        return field.from_complex(complex(rng.choice([0.5, -1.25, 2.0]),
+                                          rng.choice([0.0, 0.75])))
+
+    def keys(tensor):
+        picked = rng.sample(words, rng.randrange(1, 5))
+        return [(w, rng.choice(words)) for w in picked] if tensor else picked
+
+    def build(tensor, terms):
+        return TensorElement(ctx, 2, terms) if tensor else AlgebraElement(ctx, terms)
+
+    pairs = []
+    for k in range(40):
+        tensor = bool(k % 2)
+        terms = {key: coeff() for key in keys(tensor)}
+        a = build(tensor, terms)
+        pairs.append((a, build(tensor, dict(terms))))
+        pairs.append((a, build(tensor, {key: coeff() for key in keys(tensor)})))
+        first = next(iter(terms))
+        # one key more, or one key less
+        extra = dict(terms)
+        extra[(Word(2, ()), Word(2, ())) if tensor else Word(2, ())] = coeff()
+        pairs.append((a, build(tensor, extra)))
+        pairs.append((build(tensor, {key: c for key, c in terms.items() if key != first}), a))
+        if field.exact:
+            nudged = dict(terms)
+            nudged[first] = terms[first] + field.from_rational(rng.choice([1, -1]))
+            pairs.append((a, build(tensor, nudged)))
+        else:
+            for factor in (0.999, 1.001):
+                nudged = dict(terms)
+                nudged[first] = terms[first] + field.from_complex(factor * tolerance)
+                pairs.append((a, build(tensor, nudged)))
+    return pairs
+
+
+@pytest.mark.parametrize("approx", [False, True])
+def test_combination_equality_matches_the_zero_difference(boson_e1, approx):
+    ctx = boson_e1.context
+    tolerance = 1e-9
+    if approx:
+        ctx, _ = _approx_image(ctx, [])
+        assert ctx.field.tolerance == tolerance
+    pairs = _random_combination_pairs(ctx, random.Random(11), tolerance)
+    outcomes = set()
+    for a, b in pairs:
+        want = (a - b).is_zero()
+        assert (a == b) is want and (b == a) is want and (a != b) is not want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    if approx:
+        # just under the tolerance is equal, just over is not
+        a = AlgebraElement.monomial(ctx, Word(0, ()), ctx.field.from_complex(0.5))
+        for factor, want in ((0.999, True), (1.001, False)):
+            b = AlgebraElement.monomial(ctx, Word(0, ()),
+                                        ctx.field.from_complex(0.5 + factor * tolerance))
+            assert (a == b) is want is (a - b).is_zero()
+
+
+def test_combinations_from_different_contexts_are_unequal(boson_e1, e2):
+    from braidfoq.scalar import FieldMismatch
+
+    ctx = boson_e1.context
+    other = bosonisation_presentation(e2).context
+    assert other != ctx
+    word = Word(0, (ctx.u(0, 1),))
+    pairs = [(AlgebraElement.monomial(ctx, word), AlgebraElement.monomial(other, word)),
+             (TensorElement.tensor(AlgebraElement.one(ctx), AlgebraElement.one(ctx)),
+              TensorElement.tensor(AlgebraElement.one(other), AlgebraElement.one(other))),
+             (TensorElement.one(ctx, 2), TensorElement.one(ctx, 3))]
+    for a, b in pairs:
+        assert a != b and b != a
+        with pytest.raises(FieldMismatch):
+            a - b
+    assert AlgebraElement.one(ctx) != TensorElement.one(ctx)

@@ -425,3 +425,27 @@ def test_triviality_factors_match_diagonal_products():
                                                   for s in range(n)]) @ tilde_inv.conj())
             assert [repr(b.raw) for row in b_mats[i].entries for b in row] == [
                 repr(b.raw) for row in expected.entries for b in row]
+
+
+@pytest.mark.parametrize("field, zeta", [
+    (Field.cyclotomic(8), lambda f: f.from_int(2)),
+    (Field.approx(), lambda f: f.from_complex(1.5)),
+])
+def test_zeta_off_the_unit_circle_is_rejected_alike(field, zeta):
+    from braidfoq.freealg import AlgebraContext
+
+    with pytest.raises(ValueError) as space_error:
+        GradedSpace(n=2, degrees=(0, 1), zeta=zeta(field), field=field)
+    with pytest.raises(ValueError) as context_error:
+        AlgebraContext(field=field, zeta=zeta(field), degrees=(0, 1))
+    assert str(space_error.value) == str(context_error.value) == "zeta must have modulus one"
+
+
+def test_zeta_field_is_checked_before_its_modulus(f8):
+    from braidfoq.freealg import AlgebraContext
+
+    approx = Field.approx()
+    with pytest.raises(ValueError, match="declared field"):
+        GradedSpace(n=2, degrees=(0, 1), zeta=approx.from_complex(1.5), field=f8)
+    with pytest.raises(ValueError, match="context field"):
+        AlgebraContext(field=f8, zeta=approx.from_complex(1.5), degrees=(0, 1))

@@ -243,3 +243,23 @@ def test_presentation_bytes_match_recorded_hash(request, fixture, builder):
     text = serialize_presentation(_BUILDERS[builder](request.getfixturevalue(fixture)))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == _PRESENTATION_SHA256[(fixture, builder)]
+
+
+@pytest.mark.parametrize("change, message", [({"i": 2}, "out of range for n = 2"),
+                                             ({"grading": 5}, "has grading 5, expected 0")])
+def test_loader_and_certifier_reject_a_bad_letter_alike(e1, change, message):
+    from braidfoq import ideal_membership
+    from braidfoq.freealg import GeneratorSym, Word
+
+    boson = bosonisation_presentation(e1)
+    doc = json.loads(serialize_presentation(boson))
+    # the second term of the first relation is Ustar(0,0) * U(0,0)
+    letter = doc["relations"][0][1][2][1]
+    assert letter == {"kind": "U", "i": 0, "j": 0, "grading": 0}
+    letter.update(change)
+    with pytest.raises(ValueError, match=message) as loaded:
+        deserialize_presentation(json.dumps(doc))
+    target = AlgebraElement.monomial(boson.context, Word(0, (GeneratorSym.from_json(letter),)))
+    with pytest.raises(ValueError) as certified:
+        ideal_membership(target, list(boson.relations), 3)
+    assert str(certified.value) == str(loaded.value)
