@@ -12,8 +12,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .freealg import DEFAULT_ROW_CAP, _intertwiner_holds, coassociativity_check, \
-    well_definedness_check
+from .freealg import DEFAULT_ROW_CAP, _intertwiner_holds, _unreplayed, \
+    coassociativity_check, well_definedness_check
 from .fusion import FusionContext, IrrepLabel, dim, fuse, q_parameter
 from .graded import GradedSpace, OmegaData, f_matrix, irreducibility_test, solve_omega, \
     triviality_scan, validate
@@ -133,7 +133,10 @@ def _parse_scalar(text: str, field: Field) -> Scalar:
     if isinstance(data, dict):
         return Scalar.from_json(data, field)
     if isinstance(data, (int, float)):
-        return field.from_rational(Fraction(data))
+        # Fraction(data) rejects an infinite or NaN reading; an exact field
+        # then reads the decimal text itself, not its nearest double
+        value = Fraction(data)
+        return field.from_rational(Fraction(text) if field.exact else value)
     if "/" in text:
         return field.from_rational(Fraction(text))
     raise ValueError(f"cannot parse scalar {text!r}")
@@ -234,6 +237,9 @@ def _cmd_verify(args) -> int:
     if args.check == "welldef":
         report = well_definedness_check(presentation, args.bound,
                                         row_cap=args.row_cap, workers=args.workers)
+        unreplayed = _unreplayed(presentation, report)
+        if unreplayed:
+            raise ValueError(f"the certificate of {unreplayed[0]} does not replay")
         verdicts = {r["relation"]: r["verdict"] for r in report["relations"]}
         _emit({"check": "welldef", "bound": args.bound, "verdicts": verdicts,
                "all_in_ideal": report["all_in_ideal"]}, args.out)

@@ -610,11 +610,20 @@ def expand_three_legs(t2: TensorElement, presentation, leg: int) -> TensorElemen
     """Apply the comultiplication to one leg of a 2-leg element (leg is 0 or 1)."""
     if t2.legs != 2 or leg not in (0, 1):
         raise ValueError("expand_three_legs acts on a specified leg of a 2-leg element")
+    return _expand_leg(t2, presentation, leg, {})
+
+
+def _expand_leg(t2: TensorElement, presentation, leg: int, images: dict) -> TensorElement:
+    """``expand_three_legs`` reading each leg word's comultiplication from
+    ``images`` (a word -> 2-leg image table) and adding the ones it lacks."""
     context = t2.context
     out: dict[tuple[Word, ...], Scalar] = {}
     for (w1, w2), coeff in t2.sorted_terms():
         target = w1 if leg == 0 else w2
-        inner = apply_comult(AlgebraElement.monomial(context, target), presentation)
+        inner = images.get(target)
+        if inner is None:
+            inner = images[target] = apply_comult(AlgebraElement.monomial(context, target),
+                                                  presentation)
         _add_scaled(out, coeff, ((((a, b, w2) if leg == 0 else (w1, a, b)), c)
                                  for (a, b), c in inner.terms.items()))
     return TensorElement(context, 3, out)
@@ -623,12 +632,11 @@ def expand_three_legs(t2: TensorElement, presentation, leg: int) -> TensorElemen
 def coassociativity_check(presentation) -> bool:
     """Exact equality of both 3-leg expansions on every generator."""
     context = presentation.context
+    # every leg word's image, shared by both expansions of every generator
+    images: dict[Word, TensorElement] = {}
     for gen in presentation.generators:
-        elem = AlgebraElement.from_letter(context, gen)
-        two = apply_comult(elem, presentation)
-        left = expand_three_legs(two, presentation, 0)
-        right = expand_three_legs(two, presentation, 1)
-        if left != right:
+        two = apply_comult(AlgebraElement.from_letter(context, gen), presentation)
+        if _expand_leg(two, presentation, 0, images) != _expand_leg(two, presentation, 1, images):
             return False
     return True
 
@@ -1094,6 +1102,16 @@ def well_definedness_check(presentation, degree_bound: int, *,
         results.append({"relation": label, "verdict": cert.verdict, "certificate": cert})
     all_in = all(r["verdict"] == "in_ideal" for r in results)
     return {"relations": results, "all_in_ideal": all_in, "degree_bound": degree_bound}
+
+
+def _unreplayed(presentation, report: dict) -> list[str]:
+    """The relations of a ``well_definedness_check`` report whose in_ideal
+    certificate does not replay to the relation's comultiplication image."""
+    return [record["relation"]
+            for record, rel in zip(report["relations"], presentation.relations)
+            if record["verdict"] == "in_ideal"
+            and record["certificate"].replay(presentation.relations, presentation.context,
+                                             legs=2) != apply_comult(rel, presentation)]
 
 
 def intertwiner_check(data, f_override=None) -> bool:

@@ -73,9 +73,6 @@ class FusionDecomposition:
     def __len__(self):
         return len(self.summands)
 
-    def total_dim(self, ctx: FusionContext) -> int:
-        return sum(dim(a, ctx) for a in self.summands)
-
     def to_json(self) -> dict:
         return {"summands": [{"k": a.k, "l": a.l, "mult": 1} for a in self.summands]}
 
@@ -132,30 +129,35 @@ def ring_checks(ctx: FusionContext, bound: int) -> dict:
     def _k_ladder(a: int, b: int) -> list[int]:
         return list(range(abs(a - b), a + b + 1, 2))
 
-    # conj_label maps the label set onto itself, so every product a check
-    # reads is fused once, here; the tables are keyed by (a.k, a.l, b.k, b.l)
-    dims = [dim(a, ctx) for a in labels]
-    fused = {(a.k, a.l, b.k, b.l): fuse(a, b, ctx) for a in labels for b in labels}
-    rungs = {key: sorted((r.k, r.l) for r in ab) for key, ab in fused.items()}
-    for a in labels:
-        if tuple(fused[0, 0, a.k, a.l]) != (a,):
+    # every product a check reads is fused once, here, and kept only as its
+    # sorted (k, l) rungs: rungs[x][y] for labels[x] (x) labels[y]; conj_label
+    # maps the label set onto itself, so conj[x] indexes conj_label(labels[x])
+    rungs = [[sorted([(r.k, r.l) for r in fuse(a, b, ctx)]) for b in labels] for a in labels]
+    where = {(a.k, a.l): x for x, a in enumerate(labels)}
+    conj = [where[a.k, -a.l] for a in labels]
+    # the top rung of a sorted ladder is its last
+    top = max([bound, *(ladder[-1][0] for row in rungs for ladder in row if ladder)])
+    dims = [dim(IrrepLabel(k, 0), ctx) for k in range(top + 1)]
+    unit = rungs[where[0, 0]]
+    for x, a in enumerate(labels):
+        if unit[x] != [(a.k, a.l)]:
             failures.append({"check": "unit", "witness": [a.to_json()]})
-    for a, dim_a in zip(labels, dims):
-        for b, dim_b in zip(labels, dims):
-            ab = fused[a.k, a.l, b.k, b.l]
-            if rungs[a.k, a.l, b.k, b.l] != rungs[b.k, b.l, a.k, a.l]:
-                failures.append({"check": "commutativity",
-                                 "witness": [a.to_json(), b.to_json()]})
-            if dim_a * dim_b != ab.total_dim(ctx):
-                failures.append({"check": "dimension",
-                                 "witness": [a.to_json(), b.to_json()]})
-            conj_ab = sorted((r.k, -r.l) for r in ab)
-            if conj_ab != rungs[b.k, -b.l, a.k, -a.l]:
-                failures.append({"check": "conjugation",
-                                 "witness": [a.to_json(), b.to_json()]})
-            if ctx.parity == "odd_d" and not all(r.valid_in(ctx) for r in ab):
-                failures.append({"check": "parity_closure",
-                                 "witness": [a.to_json(), b.to_json()]})
+
+    def _fail(check: str, a: IrrepLabel, b: IrrepLabel) -> None:
+        failures.append({"check": check, "witness": [a.to_json(), b.to_json()]})
+
+    odd = ctx.parity == "odd_d"
+    for x, (a, row) in enumerate(zip(labels, rungs)):
+        dim_a, conj_a = dims[a.k], conj[x]
+        for y, (b, ab) in enumerate(zip(labels, row)):
+            if ab != rungs[y][x]:
+                _fail("commutativity", a, b)
+            if dim_a * dims[b.k] != sum([dims[k] for k, _ in ab]):
+                _fail("dimension", a, b)
+            if sorted([(k, -l) for k, l in ab]) != rungs[conj[y]][conj_a]:
+                _fail("conjugation", a, b)
+            if odd and any((k - l) % 2 for k, l in ab):
+                _fail("parity_closure", a, b)
 
     # associativity on the integer ladders; the l-components are additive
     ks = sorted({a.k for a in labels})

@@ -369,28 +369,50 @@ def omega_tilde(data: OmegaData) -> Matrix:
 
 
 def _triviality_factors(data: OmegaData):
-    """The two matrix families whose products give the quartic sums.
+    """The two matrix families whose products give the quartic sums, as raw
+    kernel rows: ``a[j][i][k]`` and ``b[i][j][l]``.
 
     The quartic sum factorizes as A_j[i][k] * B_i[j][l] with
       A_j = conj(omega) @ diag(zeta^(deg_j*deg_t)) @ omega
       B_i = inv(tilde) @ diag(zeta^(-deg_s*deg_i)) @ conj(inv(tilde)).
+    A_j depends on j only through deg_j, and B_i on i only through deg_i, so
+    each is formed once per degree value and shared.
     """
     space = data.space
-    n, deg, zero = space.n, space.degrees, space.field.zero()
+    n, deg, field = space.n, space.degrees, space.field
+    kernel = field.kernel
+    mul, fms, is_zero, zero = kernel.mul, kernel.fms, kernel.is_zero, kernel.zero
     tilde_inv = omega_tilde(data).inverse()  # raises SingularMatrix when not invertible
 
-    def _times_diag(m: Matrix, phases: list[Scalar]) -> Matrix:
-        # m @ diag(phases) without the diagonal matrix: the next product then
-        # gives the same bits, since a zero entry of m stays exactly zero
-        return Matrix(space.field, [[zero if x.is_zero() else x * p for x, p in zip(row, phases)]
-                                    for row in m.entries])
+    def _sparse(m: Matrix, conj: bool = False):
+        # each row's entries that are not zero, as (column, raw value); the
+        # products skip the others, so they are never conjugated
+        return [[(t, (x.conj() if conj else x).raw) for t, x in enumerate(row)
+                 if not x.is_zero()] for row in m.entries]
 
-    conj_omega, conj_tinv = data.omega.conj(), tilde_inv.conj()
-    a_mats = [_times_diag(conj_omega, [space.zeta_pow(deg[j] * deg[t]) for t in range(n)])
-              @ data.omega for j in range(n)]
-    b_mats = [_times_diag(tilde_inv, [space.zeta_pow(-deg[s] * deg[i]) for s in range(n)])
-              @ conj_tinv for i in range(n)]
-    return a_mats, b_mats
+    def _product(left, phases, right):
+        # (left @ diag(phases)) @ right, each entry formed as Matrix.__matmul__
+        # forms it: left factors negated, one fms per step in column order,
+        # zero factors skipped
+        out = []
+        for row in left:
+            out_row = [zero] * n
+            for t, x in row:
+                v = mul(x, phases[t])
+                if not is_zero(v):
+                    neg_v = (-Scalar(field, v)).raw
+                    for col, y in right[t]:
+                        out_row[col] = fms(out_row[col], neg_v, y)
+            out.append(out_row)
+        return out
+
+    omega, conj_omega = _sparse(data.omega), _sparse(data.omega, conj=True)
+    tinv, conj_tinv = _sparse(tilde_inv), _sparse(tilde_inv, conj=True)
+    a_by_degree = {a: _product(conj_omega, [space.zeta_pow(a * deg[t]).raw for t in range(n)],
+                               omega) for a in set(deg)}
+    b_by_degree = {a: _product(tinv, [space.zeta_pow(-deg[s] * a).raw for s in range(n)],
+                               conj_tinv) for a in set(deg)}
+    return [a_by_degree[a] for a in deg], [b_by_degree[a] for a in deg]
 
 
 def triviality_lhs(data: OmegaData, i: int, j: int, k: int, l: int) -> Scalar:
@@ -427,13 +449,11 @@ def triviality_lhs(data: OmegaData, i: int, j: int, k: int, l: int) -> Scalar:
 def triviality_scan(data: OmegaData) -> list[tuple[tuple[int, int, int, int], Scalar]]:
     """All violations of the identity over the n^4 index tuples (0-based)."""
     n = data.space.n
-    a_mats, b_mats = _triviality_factors(data)
+    a_rows, b_rows = _triviality_factors(data)
     field = data.space.field
     kernel = field.kernel
     mul, fms, is_zero = kernel.mul, kernel.fms, kernel.is_zero
     zero, one = kernel.zero, kernel.one
-    a_rows = [[[a.raw for a in row] for row in m.entries] for m in a_mats]
-    b_rows = [[[b.raw for b in row] for row in m.entries] for m in b_mats]
     if not field.exact and not all(
             cmath.isfinite(v) for m in a_rows + b_rows for row in m for v in row):
         zero = None  # 0 * inf is nan, so every product is formed

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 
 from .freealg import (AlgebraContext, AlgebraElement, GeneratorSym, TensorElement,
-                      Word, _substitute_words)
+                      Word, _substitute_words, normal_form)
 from .graded import OmegaData, _require_block_condition, f_matrix
 from .scalar import Field, Matrix, Scalar, SingularMatrix
 
@@ -88,24 +88,20 @@ def _unitarity_relations(context: AlgebraContext, letter, letter_star,
                          prefix: str) -> tuple[list[AlgebraElement], list[str]]:
     """The isometry and coisometry families, as fresh relation and label lists."""
     n = context.n
-    one = AlgebraElement.one(context)
+    one = context.field.one()
     relations: list[AlgebraElement] = []
     labels: list[str] = []
     for i in range(n):
         for j in range(n):
-            iso = AlgebraElement.zero(context)
-            coiso = AlgebraElement.zero(context)
-            for k in range(n):
-                iso = iso + (AlgebraElement.from_letter(context, letter_star(k, i))
-                             * AlgebraElement.from_letter(context, letter(k, j)))
-                coiso = coiso + (AlgebraElement.from_letter(context, letter(i, k))
-                                 * AlgebraElement.from_letter(context, letter_star(j, k)))
+            # sum_k letter_star(k,i) letter(k,j) and sum_k letter(i,k) letter_star(j,k),
+            # minus 1 on the diagonal; the k-words are distinct
+            iso = {Word(0, (letter_star(k, i), letter(k, j))): one for k in range(n)}
+            coiso = {Word(0, (letter(i, k), letter_star(j, k))): one for k in range(n)}
             if i == j:
-                iso = iso - one
-                coiso = coiso - one
-            relations.append(iso)
+                iso[Word(0, ())] = coiso[Word(0, ())] = -one
+            relations.append(AlgebraElement(context, iso))
             labels.append(f"{prefix}isometry({i},{j})")
-            relations.append(coiso)
+            relations.append(AlgebraElement(context, coiso))
             labels.append(f"{prefix}coisometry({i},{j})")
     return relations, labels
 
@@ -138,16 +134,18 @@ def _matrix_comult(context: AlgebraContext, letter,
     """letter(i,k) -> sum_l letter(i,l) (x) letter(l,k); twisted, the second
     leg is z^(dl-di) letter(l,k) as in the bosonisation."""
     n, deg = context.n, context.degrees
+    one = context.field.one()
     comult: dict[GeneratorSym, TensorElement] = {}
     for i in range(n):
         for k in range(n):
-            img = TensorElement.zero(context, 2)
+            terms: dict[tuple[Word, Word], Scalar] = {}
             for l in range(n):
                 shift = deg[l] - deg[i] if twisted else 0
-                second = AlgebraElement.from_raw(context, [context.z(shift), letter(l, k)])
-                img = img + TensorElement.tensor(
-                    AlgebraElement.from_letter(context, letter(i, l)), second)
-            comult[letter(i, k)] = img
+                phase, second = normal_form([context.z(shift), letter(l, k)], context)
+                # one * phase is the coefficient TensorElement.tensor forms, with
+                # the same bits in an approx field
+                terms[Word(0, (letter(i, l),)), second] = one * phase
+            comult[letter(i, k)] = TensorElement(context, 2, terms)
     return comult
 
 

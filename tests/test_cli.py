@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidfoq import (Field, Matrix, bosonisation_presentation, serialize_presentation,
+from braidfoq import (Field, Matrix, Scalar, bosonisation_presentation, serialize_presentation,
                       t_form_presentation)
 from braidfoq.graded import GradedSpace, OmegaData
 from braidfoq.cli import main
@@ -482,3 +482,49 @@ def test_solve_in_an_approx_field_reads_plain_numbers(tmp_path, capsys):
         code, out = _approx_solve(tmp_path, capsys, "--c", c)
         assert code == 0
         assert json.loads(out)["c"] == {"kind": "float", "re": value, "im": 0.0}
+
+
+def test_solve_reads_a_decimal_c_exactly_in_an_exact_field(tmp_path, capsys):
+    field = Field.cyclotomic(8)
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(json.dumps({"0": Matrix(field, [[field.one()]]).to_json()}))
+    argv = ["solve", "--field", "cyclo:8", "--zeta", "0", "--degrees", "0,2", "--d", "2",
+            "--blocks", str(blocks)]
+    assert main(argv + ["--c", "0.1"]) == 0
+    c = Scalar.from_json(json.loads(capsys.readouterr().out)["c"], field)
+    assert c.raw == (1, 0, 0, 0, 10)
+    for text in ("1e400", "NaN"):
+        assert main(argv + ["--c", text]) == 2
+        err = capsys.readouterr().err
+        assert "malformed solve input" in err and "Traceback" not in err
+
+
+def test_verify_welldef_exits_1_when_a_certificate_does_not_replay(
+        e1_file, tmp_path, capsys, monkeypatch):
+    from dataclasses import replace
+
+    import braidfoq.cli as cli
+
+    pres = tmp_path / "boson.json"
+    main(["present", "--target", "boson", e1_file, "--out", str(pres)])
+    capsys.readouterr()
+    certify = cli.well_definedness_check
+    tampered = []
+
+    def tampering(presentation, bound, **kwargs):
+        # one coefficient of the first nonempty certificate times zeta
+        report = certify(presentation, bound, **kwargs)
+        record = next(r for r in report["relations"] if r["certificate"].combination)
+        cert = record["certificate"]
+        first, *rest = cert.combination
+        zeta = presentation.context.field.root(1)
+        record["certificate"] = replace(
+            cert, combination=(replace(first, coeff=first.coeff * zeta), *rest))
+        tampered.append(record["relation"])
+        return report
+
+    monkeypatch.setattr(cli, "well_definedness_check", tampering)
+    assert main(["verify", "--check", "welldef", "--bound", "3", str(pres)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the certificate of {tampered[0]} does not replay" in captured.err

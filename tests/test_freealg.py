@@ -191,6 +191,37 @@ def test_corrupted_comult_fails(boson_e1, f8):
     assert not coassociativity_check(corrupted)
 
 
+def _reference_coassociative(presentation):
+    # both expansions of every generator, each leg image computed afresh
+    ctx = presentation.context
+    for gen in presentation.generators:
+        two = apply_comult(_letter(ctx, gen), presentation)
+        if (expand_three_legs(two, presentation, 0)
+                != expand_three_legs(two, presentation, 1)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("case", ["e1", "random n=3"])
+def test_coassociativity_rejects_each_comult_image_scaled_by_zeta(case, e1):
+    from dataclasses import replace
+
+    from braidfoq.sampling import random_valid_instance
+
+    inst = e1 if case == "e1" else random_valid_instance(random.Random(31), n=3, order=8)
+    boson = bosonisation_presentation(inst)
+    zeta = boson.context.field.root(1)
+    assert coassociativity_check(boson) and _reference_coassociative(boson)
+    for gen in boson.generators:
+        if gen.kind == "Z":
+            continue  # z (x) z scaled by zeta is still coassociative
+        comult = dict(boson.comult)
+        comult[gen] = comult[gen].scale(zeta)
+        corrupted = replace(boson, comult=comult)
+        assert not coassociativity_check(corrupted), gen.display()
+        assert not _reference_coassociative(corrupted)
+
+
 # -- ideal membership ---------------------------------------------------------
 
 

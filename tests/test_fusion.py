@@ -178,3 +178,22 @@ def test_ring_checks_report_broken_fusion_like_the_reference(monkeypatch, even, 
             assert not report["passed"]
             checks.update(f["check"] for f in got)
         assert checks >= breaks
+
+
+def test_ring_checks_fuse_each_ordered_pair_exactly_once(monkeypatch, even, odd):
+    # the checks read fuse's own answers, not a copy of its formula
+    import braidfoq.fusion as fusion_module
+
+    for ctx in (even, odd, FusionContext(n=3, parity="odd_d")):
+        calls = []
+
+        def counting(a, b, c):
+            calls.append(((a.k, a.l), (b.k, b.l)))
+            return fuse(a, b, c)
+
+        monkeypatch.setattr(fusion_module, "fuse", counting)
+        report = ring_checks(ctx, 3)
+        labels = [(k, l) for k in range(4) for l in range(-3, 4)
+                  if IrrepLabel(k, l).valid_in(ctx)]
+        assert sorted(calls) == sorted((a, b) for a in labels for b in labels)
+        assert report["label_count"] == len(labels) and report["passed"]

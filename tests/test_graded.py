@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidfoq import (Field, GradedSpace, Infeasible, Matrix, OmegaData,
+from braidfoq import (Field, GradedSpace, Infeasible, Matrix, OmegaData, Scalar,
                       SingularMatrix, f_matrix, irreducibility_test, omega_tilde,
                       solve_omega, triviality_lhs, triviality_scan, validate)
 from braidfoq.sampling import mutate_one_entry, random_valid_instance
@@ -206,11 +206,12 @@ def test_triviality_lhs_agrees_with_factorized_scan():
     rng = random.Random(61)
     for _ in range(6):
         inst = random_valid_instance(rng, n=rng.choice([2, 3]), order=8)
-        a_mats, b_mats = _triviality_factors(inst)
-        n = inst.space.n
+        a_rows, b_rows = _triviality_factors(inst)
+        n, field = inst.space.n, inst.space.field
         for _ in range(8):
             i, j, k, l = (rng.randrange(n) for _ in range(4))
-            assert triviality_lhs(inst, i, j, k, l) == a_mats[j][i, k] * b_mats[i][j, l]
+            assert triviality_lhs(inst, i, j, k, l) == (
+                Scalar(field, a_rows[j][i][k]) * Scalar(field, b_rows[i][j][l]))
 
 
 def test_solve_with_multidimensional_blocks_and_middle(f8):
@@ -244,14 +245,14 @@ def _reference_scan(data):
     the Kronecker deltas in Scalar arithmetic."""
     from braidfoq.graded import _triviality_factors
 
-    a_mats, b_mats = _triviality_factors(data)
+    a_rows, b_rows = _triviality_factors(data)
     field, n = data.space.field, data.space.n
     violations = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    value = a_mats[j][i, k] * b_mats[i][j, l]
+                    value = Scalar(field, a_rows[j][i][k]) * Scalar(field, b_rows[i][j][l])
                     if value != (field.one() if i == k and j == l else field.zero()):
                         violations.append(((i, j, k, l), value))
     return violations
@@ -414,16 +415,16 @@ def test_triviality_factors_match_diagonal_products():
         space = data.space
         n, deg, field = space.n, space.degrees, space.field
         tilde_inv = omega_tilde(data).inverse()
-        a_mats, b_mats = _triviality_factors(data)
+        a_rows, b_rows = _triviality_factors(data)
         for j in range(n):
             expected = (data.omega.conj() @ _diag(field, [space.zeta_pow(deg[j] * deg[t])
                                                           for t in range(n)]) @ data.omega)
-            assert [repr(a.raw) for row in a_mats[j].entries for a in row] == [
+            assert [repr(a) for row in a_rows[j] for a in row] == [
                 repr(a.raw) for row in expected.entries for a in row]
         for i in range(n):
             expected = (tilde_inv @ _diag(field, [space.zeta_pow(-deg[s] * deg[i])
                                                   for s in range(n)]) @ tilde_inv.conj())
-            assert [repr(b.raw) for row in b_mats[i].entries for b in row] == [
+            assert [repr(b) for row in b_rows[i] for b in row] == [
                 repr(b.raw) for row in expected.entries for b in row]
 
 

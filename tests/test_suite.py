@@ -44,6 +44,14 @@ def test_seed_42_report_matches_recorded_hash_serial_and_pooled(monkeypatch):
     assert pooled == serial
 
 
+def test_seed_7_pinned_field_report_matches_recorded_hash():
+    # the field-pinned paths (every random instance over Q(zeta_8)), which
+    # the seed-42 report does not take
+    text = report_to_text(run_suite(RunConfig(seed=7, field=Field.cyclotomic(8))))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "59e02ea9709a5b89d3673b7fdb6c02ff0f2567fc262b3ae0e3b4543ffda0d033")
+
+
 class _InProcessPool:
     """Stands in for the process pool: records its size and the submission
     order, and runs each submission at once in this process."""
