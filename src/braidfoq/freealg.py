@@ -276,6 +276,14 @@ def _accumulate(out: dict, key, coeff: Scalar) -> None:
     out[key] = coeff if prev is None else prev + coeff
 
 
+def _adopted(element, terms: dict):
+    """``element`` (built empty) with ``terms`` taken as its term dict as is:
+    a dict that ``_add_scaled`` built holds no zero coefficient, so the
+    constructor's pass, which hashes every key again, is skipped."""
+    element.terms = terms
+    return element
+
+
 def _add_scaled(out: dict, coeff: Scalar, terms) -> None:
     """``out += coeff * terms`` in place, as ``out + piece.scale(coeff)`` would
     give it: zero products are skipped and a key whose sum is zero is deleted."""
@@ -587,7 +595,7 @@ def _substitute_words(element: AlgebraElement, one, letter_image, z_image):
         if word.zexp:
             acc = acc * z_image(word.zexp)
         _add_scaled(out, coeff, acc.terms.items())
-    return one._like(out)
+    return _adopted(one._like({}), out)
 
 
 def apply_comult(element: AlgebraElement, presentation) -> TensorElement:
@@ -626,7 +634,7 @@ def _expand_leg(t2: TensorElement, presentation, leg: int, images: dict) -> Tens
                                                   presentation)
         _add_scaled(out, coeff, ((((a, b, w2) if leg == 0 else (w1, a, b)), c)
                                  for (a, b), c in inner.terms.items()))
-    return TensorElement(context, 3, out)
+    return _adopted(TensorElement(context, 3), out)
 
 
 def coassociativity_check(presentation) -> bool:
@@ -684,21 +692,30 @@ class MembershipCertificate:
         """Reconstruct the certified element from the combination."""
         if self.verdict != "in_ideal":
             raise ValueError("only in_ideal certificates replay")
-        # generic products on purpose: replay checks the certifier's rows
-        # independently of how it built them; the sum goes into one dict
+        # each entry's a * r * b is formed term by term from the relation as
+        # given (or its adjoint, formed once per replay), with the word
+        # products and Scalar arithmetic of AlgebraElement; nothing is read
+        # from the certifier's encoded rows, so replay checks them
+        # independently.  Multiplying by a monomial is injective on words, so
+        # no two terms of a piece merge.  The sum goes into one dict.
         out: dict = {}
+        adjoints: dict[int, AlgebraElement] = {}
         for entry in self.combination:
             rel = relations[entry.rel_index]
             if entry.star:
-                rel = rel.adjoint()
-            piece = (AlgebraElement.monomial(context, entry.left) * rel
-                     * AlgebraElement.monomial(context, entry.right))
-            if legs:
-                other = AlgebraElement.monomial(context, entry.other)
-                piece = (TensorElement.tensor(piece, other) if entry.leg == 1
-                         else TensorElement.tensor(other, piece))
-            _add_scaled(out, entry.coeff, piece.terms.items())
-        return AlgebraElement(context, out) if legs == 0 else TensorElement(context, legs, out)
+                if entry.rel_index not in adjoints:
+                    adjoints[entry.rel_index] = rel.adjoint()
+                rel = adjoints[entry.rel_index]
+            piece = []
+            for word, c in rel.terms.items():
+                left_phase, word = _word_mul(context, entry.left, word)
+                right_phase, word = _word_mul(context, word, entry.right)
+                key = (word if not legs else
+                       (word, entry.other) if entry.leg == 1 else (entry.other, word))
+                piece.append((key, c * left_phase * right_phase))
+            _add_scaled(out, entry.coeff, piece)
+        return _adopted(AlgebraElement(context) if legs == 0 else TensorElement(context, legs),
+                        out)
 
     def to_json(self) -> dict:
         return {

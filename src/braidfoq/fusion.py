@@ -87,8 +87,14 @@ def fuse(a: IrrepLabel, b: IrrepLabel, ctx: FusionContext) -> FusionDecompositio
     _check_label(a, ctx)
     _check_label(b, ctx)
     l = a.l + b.l
-    return FusionDecomposition(
-        tuple(IrrepLabel(k, l) for k in range(a.k + b.k, abs(a.k - b.k) - 1, -2)))
+    rungs = []
+    for k in range(a.k + b.k, abs(a.k - b.k) - 1, -2):
+        # k >= 0 by construction, so the label skips __init__ and its check
+        label = object.__new__(IrrepLabel)
+        attrs = label.__dict__
+        attrs["k"], attrs["l"] = k, l
+        rungs.append(label)
+    return FusionDecomposition(tuple(rungs))
 
 
 def conj_label(a: IrrepLabel) -> IrrepLabel:

@@ -92,6 +92,9 @@ class OmegaData:
     omega: Matrix
     d: int
     branch_warning: bool = dataclass_field(default=False, compare=False)
+    # validate(self), computed on first use: the data are immutable
+    _validation: "ValidationReport | None" = dataclass_field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.space.n
@@ -150,7 +153,15 @@ class ValidationReport:
 
 
 def validate(data: OmegaData) -> ValidationReport:
-    """Check the block condition and extract the scalar c when it holds."""
+    """Check the block condition and extract the scalar c when it holds.
+
+    The report is kept on ``data``, so each instance is validated once."""
+    if data._validation is None:
+        object.__setattr__(data, "_validation", _validate(data))
+    return data._validation
+
+
+def _validate(data: OmegaData) -> ValidationReport:
     space, d, omega = data.space, data.d, data.omega
     if omega.rows != omega.cols:
         raise ValueError("omega must be square")

@@ -175,6 +175,7 @@ class _CycloTable:
     # each built on first use, so fields the certifier never sees pay for no fms
     mul = cached_property(lambda self: self._kernel("mul"))
     fms = cached_property(lambda self: self._kernel("fms"))
+    conj = cached_property(lambda self: self._kernel("conj"))
 
     def _kernel(self, name: str):
         with self._lock:
@@ -207,6 +208,7 @@ class _ApproxKernel:
 
     zero, one = 0j, 1 + 0j
     mul = staticmethod(_mul)
+    conj = staticmethod(complex.conjugate)
 
     def __init__(self, tolerance: float):
         self.tolerance = tolerance
@@ -234,7 +236,7 @@ def _normalised(num: list[int], den: int) -> tuple[int, ...]:
 
 
 def _loop_kernel(table: _CycloTable) -> dict:
-    """mul and fms as a sparse convolution loop."""
+    """mul and fms as a sparse convolution loop, conj as a sparse map."""
     deg, sparse_power = table.degree, table.sparse_power
 
     def mul(x, y):
@@ -257,17 +259,42 @@ def _loop_kernel(table: _CycloTable) -> dict:
         pden, qden = p[deg], q[deg]
         return _normalised([a * qden - b * pden for a, b in zip(p, q[:deg])], pden * qden)
 
-    return {"mul": mul, "fms": fms}
+    def conj(x):
+        # x^i -> x^(-i); see _generated_kernel for why no gcd is taken
+        acc = [0] * deg
+        for i, a in enumerate(x[:deg]):
+            if a:
+                for m, r in sparse_power(-i):
+                    acc[m] += a * r
+        return (*acc, x[deg])
+
+    return {"mul": mul, "fms": fms, "conj": conj}
+
+
+def _signed(coeff: int, var: str) -> str:
+    """The term ``coeff * var`` as " + var", " - 2 * var" and so on."""
+    sign, size = ("+" if coeff > 0 else "-"), abs(coeff)
+    return f" {sign} {var}" if size == 1 else f" {sign} {size} * {var}"
 
 
 def _generated_kernel(table: _CycloTable, name: str):
     """mul or fms as straight-line code for this order: a convolution with
     one ``if a_i:`` block per coordinate of x, then one reduction row per
-    coordinate read from x^k mod Phi_N; a denominator of 1 skips the gcd."""
+    coordinate read from x^k mod Phi_N; a denominator of 1 skips the gcd.
+    conj is one row per coordinate read from x^(-i) mod Phi_N, with no gcd:
+    conjugation maps Z[zeta] onto itself, so it keeps the numerators'
+    content and a normalised value stays normalised."""
     deg = table.degree
     n = [f"n{i}" for i in range(deg)]
     nums = ", ".join(n)
-    product = [f"    {', '.join(f'a{i}' for i in range(deg))}, da = x",
+    unpack_x = f"    {', '.join(f'a{i}' for i in range(deg))}, da = x"
+    if name == "conj":
+        # a leading " + " is dropped; a leading " - " stays as a unary minus
+        coords = ("".join(_signed(r, f"a{i}") for i in range(deg)
+                          if (r := table.power(-i)[m])).lstrip(" +") for m in range(deg))
+        return _compiled(table, name, ["def conj(x):", unpack_x,
+                                       f"    return ({', '.join(coords)}, da)"])
+    product = [unpack_x,
                f"    {', '.join(f'b{j}' for j in range(deg))}, db = y",
                "    " + " = ".join(f"c{k}" for k in range(2 * deg - 1)) + " = 0"]
     for i in range(deg):
@@ -278,8 +305,7 @@ def _generated_kernel(table: _CycloTable, name: str):
         for k in range(deg, 2 * deg - 1):
             r = table.power(k)[m]
             if r:
-                sign, size = ("+" if r > 0 else "-"), abs(r)
-                row += f" {sign} c{k}" if size == 1 else f" {sign} {size} * c{k}"
+                row += _signed(r, f"c{k}")
         product.append(row)
     product.append("    den = da * db")
     normalise = ["    if den == 1:", f"        return ({nums}, 1)",
@@ -294,6 +320,11 @@ def _generated_kernel(table: _CycloTable, name: str):
                  "    if dp == den:", *(f"        n{i} = p{i} - n{i}" for i in range(deg)),
                  "    else:", *(f"        n{i} = p{i} * den - n{i} * dp" for i in range(deg)),
                  "        den *= dp", *normalise]
+    return _compiled(table, name, lines)
+
+
+def _compiled(table: _CycloTable, name: str, lines: list[str]):
+    """The function ``name`` that ``lines`` define, compiled for this order."""
     namespace = {"gcd": math.gcd}
     exec(compile("\n".join(lines), f"<kernel Q(zeta_{table.order})>", "exec"), namespace)
     return namespace[name]
@@ -543,9 +574,7 @@ class Scalar:
         return Scalar(field, _normalised(acc, self.raw[-1]))
 
     def conj(self) -> "Scalar":
-        if not self.field.exact:
-            return Scalar(self.field, self.raw.conjugate())
-        return self._apply_powers(self.field, -1)
+        return Scalar(self.field, self.field.kernel.conj(self.raw))
 
     def inverse(self) -> "Scalar":
         return Scalar(self.field, self.field.kernel.inverse(self.raw))
@@ -595,21 +624,37 @@ class Scalar:
         return sum(((a / den) * b for a, b in zip(self.raw[:-1], basis)), 0j)
 
     def real_sign(self) -> int:
-        """Sign of a real scalar; exact for rationals, numeric otherwise."""
+        """Sign of a real scalar, decided exactly in an exact field.
+
+        There an irrational value, sum_k n_k cos(2 pi k / N) / den, is
+        enclosed between two integer multiples of 2^-bits, with bits doubling
+        until the enclosure excludes 0; an approx field uses its tolerance."""
         q = self.as_rational()
         if q is not None:
             return (q > 0) - (q < 0)
-        if self.field.exact and not self.is_real():
-            raise ValueError("real_sign() of a non-real scalar")
-        z = self.to_complex()
         if self.field.exact:
-            if abs(z.real) < 1e-9:
-                raise ValueError("cannot determine sign numerically")
-        else:
-            if abs(z.imag) > self.field.tolerance:
+            if not self.is_real():
                 raise ValueError("real_sign() of a non-real scalar")
-            if abs(z.real) <= self.field.tolerance:
-                return 0
+            # imported on first use: most processes never decide the sign of
+            # an irrational value, so they need not load the enclosures
+            from ._enclosure import cos_pi_bounds
+
+            bits = 64
+            while True:
+                lo = hi = 0
+                for k, n in enumerate(self.raw[:-1]):
+                    if n:
+                        c_lo, c_hi = cos_pi_bounds(Fraction(2 * k, self.field.order), bits)
+                        lo += n * (c_lo if n > 0 else c_hi)
+                        hi += n * (c_hi if n > 0 else c_lo)
+                if lo > 0 or hi < 0:
+                    return 1 if lo > 0 else -1
+                bits *= 2
+        z = self.raw
+        if abs(z.imag) > self.field.tolerance:
+            raise ValueError("real_sign() of a non-real scalar")
+        if abs(z.real) <= self.field.tolerance:
+            return 0
         return 1 if z.real > 0 else -1
 
     def embed_into(self, field: Field) -> "Scalar":
@@ -857,7 +902,22 @@ class Matrix:
         return rank, [[Scalar(field, a) for a in row[self.cols:]] for row in work]
 
     def rank(self) -> int:
-        rank, _ = self._eliminate(None)
+        if not self.field.exact:
+            return self._eliminate(None)[0]
+        # fraction-free forward elimination, row <- p*row - f*pivot_row, so no
+        # pivot is inverted; each working row keeps only the columns still to
+        # be eliminated, and a row is dropped once it has served as a pivot
+        kernel = self.field.kernel
+        mul, fms, is_zero = kernel.mul, kernel.fms, kernel.is_zero
+        work = [[a.raw for a in row] for row in self.entries]
+        rank = 0
+        for _ in range(self.cols):
+            pivot = next((r for r, row in enumerate(work) if not is_zero(row[0])), None)
+            if pivot is not None:
+                p, *pivot_row = work.pop(pivot)
+                rank += 1
+            work = [row[1:] if pivot is None or is_zero(f := row[0]) else
+                    [fms(mul(p, a), f, b) for a, b in zip(row[1:], pivot_row)] for row in work]
         return rank
 
     def inverse(self) -> "Matrix":

@@ -283,17 +283,17 @@ _CHECKS = [
 ]
 
 
-# _CHECKS by serial cost, longest first (median CPU seconds of 15 runs at
-# seed 42 on a shared 2-vCPU host, each in a freshly forked process: 0.082,
-# 0.074, 0.069, 0.068, 0.067, 0.065, 0.011, 0.009); a pool that takes them
+# _CHECKS by serial cost, longest first (median CPU seconds of 30 runs at
+# seed 42 on a shared 2-vCPU host, each in a freshly forked process: 0.089,
+# 0.088, 0.087, 0.079, 0.078, 0.075, 0.015, 0.011); a pool that takes them
 # in this order finishes close to an even split of the total
 _LONGEST_FIRST = [
-    _check_transforms,
-    _check_well_definedness,
-    _check_irreducibility,
-    _check_triviality,
     _check_fusion_ring,
+    _check_transforms,
     _check_coassociativity,
+    _check_well_definedness,
+    _check_triviality,
+    _check_irreducibility,
     _check_q_parameter,
     _check_intertwiner,
 ]

@@ -4,6 +4,7 @@ cover, and the canonical reduction to homogeneity degree zero."""
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass
 
@@ -63,14 +64,17 @@ def degree_shift(data: OmegaData, s: int) -> OmegaData:
     """
     space = data.space
     gauge = s * (s - 1) // 2
-    deg = space.degrees
-    entries = [
-        [space.zeta_pow(-s * deg[j] + gauge) * data.omega[i, j] for j in range(space.n)]
-        for i in range(space.n)
-    ]
-    shifted = GradedSpace(n=space.n, degrees=tuple(a - s for a in deg),
-                          zeta=space.zeta, field=space.field)
-    # shifting subtracts a constant, so sortedness is automatic
+    phases = [space.zeta_pow(-s * a + gauge) for a in space.degrees]
+    # an exact zero stays as it is (its product would be the same zero); an
+    # approx entry is always scaled, since the product sets the signs of its
+    # zero parts
+    exact = space.field.exact
+    entries = [[x if exact and x.is_zero() else x * phase for x, phase in zip(row, phases)]
+               for row in data.omega.entries]
+    # the same n, zeta and field, so the copy shares the zeta_pow memo and
+    # its modulus check; subtracting a constant keeps the degrees sorted
+    shifted = copy.copy(space)
+    object.__setattr__(shifted, "degrees", tuple(a - s for a in space.degrees))
     return OmegaData(space=shifted, omega=Matrix(space.field, entries), d=data.d - 2 * s)
 
 

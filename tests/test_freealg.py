@@ -856,6 +856,29 @@ def test_replay_sums_match_repeated_addition(request, fixture, present):
     assert replayed >= 5
 
 
+@pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+@pytest.mark.parametrize("present", [bosonisation_presentation, t_form_presentation],
+                         ids=["boson", "tform"])
+@pytest.mark.parametrize("fixture", ["e0", "e1", "e2"])
+def test_direct_replay_matches_generic_products(request, fixture, present, approx):
+    # replay forms each a * r * b term by term; the reference forms it with two
+    # AlgebraElement products and a tensor product
+    from test_graded import _as_approx
+
+    data = request.getfixturevalue(fixture)
+    presentation = present(_as_approx(data) if approx else data)
+    ctx, relations = presentation.context, list(presentation.relations)
+    stars, legs = set(), set()
+    for record in well_definedness_check(presentation, 3)["relations"]:
+        cert = record["certificate"]
+        if record["verdict"] == "in_ideal" and cert.combination:
+            stars.update(entry.star for entry in cert.combination)
+            legs.update(entry.leg for entry in cert.combination)
+            _same_terms(cert.replay(relations, ctx, legs=2),
+                        _ref_replay(cert, relations, ctx, 2))
+    assert stars == {False, True} and legs == {1, 2}
+
+
 # -- verdict precedence --------------------------------------------------------
 
 

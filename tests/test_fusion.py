@@ -197,3 +197,22 @@ def test_ring_checks_fuse_each_ordered_pair_exactly_once(monkeypatch, even, odd)
                   if IrrepLabel(k, l).valid_in(ctx)]
         assert sorted(calls) == sorted((a, b) for a in labels for b in labels)
         assert report["label_count"] == len(labels) and report["passed"]
+
+
+def test_fuse_rungs_behave_like_constructed_labels(even, odd):
+    import pickle
+
+    for ctx in (even, odd):
+        for a in range(4):
+            for b in range(4):
+                x, y = IrrepLabel(a, a % 2), IrrepLabel(b, -(b % 2) - 2)
+                rungs = list(fuse(x, y, ctx))
+                built = [IrrepLabel(r.k, x.l + y.l) for r in rungs]
+                assert rungs == built and [hash(r) for r in rungs] == [hash(r) for r in built]
+                assert [repr(r) for r in rungs] == [repr(r) for r in built]
+                assert [r.to_json() for r in rungs] == [r.to_json() for r in built]
+                assert sorted(rungs) == sorted(built) == built[::-1]
+                assert all(r < IrrepLabel(r.k + 1, r.l) for r in rungs)
+                assert pickle.loads(pickle.dumps(rungs)) == built
+    with pytest.raises(ValueError, match="nonnegative"):
+        IrrepLabel(-1, 0)

@@ -450,3 +450,26 @@ def test_zeta_field_is_checked_before_its_modulus(f8):
         GradedSpace(n=2, degrees=(0, 1), zeta=approx.from_complex(1.5), field=f8)
     with pytest.raises(ValueError, match="context field"):
         AlgebraContext(field=f8, zeta=approx.from_complex(1.5), degrees=(0, 1))
+
+
+def test_validate_reports_each_instance_once(f8):
+    from braidfoq import degree_shift
+
+    rng = random.Random(14)
+    for order in (4, 8, 12):
+        inst = random_valid_instance(rng, n=rng.choice([2, 3, 4]), order=order)
+        report = validate(inst)
+        assert validate(inst) is report and report.holds
+        # the memo is no field of the data: equality and repr ignore it
+        fresh = OmegaData(space=inst.space, omega=inst.omega, d=inst.d)
+        assert fresh == inst and repr(fresh) == repr(inst)
+        assert validate(fresh) is not report and validate(fresh) == report
+        shifted = degree_shift(inst, 1)
+        assert validate(shifted) is not report and validate(shifted).holds
+        mutant = mutate_one_entry(rng, inst)
+        if mutant is not None:
+            assert validate(mutant) is not report
+            assert validate(mutant) is validate(mutant)
+    broken = OmegaData(space=inst.space, omega=Matrix.zeros(inst.space.field, inst.space.n,
+                                                            inst.space.n), d=inst.d)
+    assert validate(broken) is validate(broken) and not validate(broken).holds

@@ -520,3 +520,118 @@ def test_approx_elimination_matches_reference_bit_for_bit():
         assert m.rank() == rank
         if rank == n:
             _same_entries(m.inverse().entries, inverse)
+
+
+# -- fast paths against the general ones ---------------------------------------
+
+
+def _random_scalar(rng, field, density):
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6)))
+              if rng.random() < density else 0 for _ in range(field.degree)]
+    return field.from_coeffs(coeffs)
+
+
+@pytest.mark.parametrize("order", [*range(1, 61), 96, 240])
+def test_kernel_conj_matches_power_map(order):
+    # the generated kernel up to degree 16 and the loop kernel above it
+    field = Field.cyclotomic(order)
+    rng = random.Random(order)
+    samples = [field.zero(), field.one(), *(field.root(k) for k in range(0, order, 7))]
+    samples += [_random_scalar(rng, field, density) for density in (0.2, 0.6, 1.0) * 4]
+    for x in samples:
+        expected = x._apply_powers(field, -1).raw
+        assert field.kernel.conj(x.raw) == expected
+        assert x.conj().raw == expected
+
+
+def test_exact_rank_matches_gauss_jordan():
+    rng = random.Random(5)
+    for order in (4, 5, 8, 12, 24):
+        field = Field.cyclotomic(order)
+        for _ in range(12):
+            n = rng.randrange(1, 7)
+            cols = rng.randrange(1, 7)
+
+            def random_matrix(rows, width):
+                return Matrix(field, [[_random_scalar(rng, field, rng.choice((0.3, 1.0)))
+                                       if rng.random() < 0.7 else field.zero()
+                                       for _ in range(width)] for _ in range(rows)])
+
+            m = random_matrix(n, cols)
+            assert m.rank() == m._eliminate(None)[0]
+            # deliberately singular: a product through a narrower inner size,
+            # a repeated row, and a zero row and column
+            inner = rng.randrange(1, max(2, min(n, cols)))
+            low = random_matrix(n, inner) @ random_matrix(inner, cols)
+            assert low.rank() == low._eliminate(None)[0] <= inner
+            rows = [list(r) for r in m.entries]
+            rows[-1] = list(rows[0])
+            for r in rows:
+                r[rng.randrange(cols)] = field.zero()
+            rows[rng.randrange(n)] = [field.zero()] * cols
+            singular = Matrix(field, rows)
+            assert singular.rank() == singular._eliminate(None)[0] < max(n, 2)
+
+
+# -- exact signs ---------------------------------------------------------------
+
+
+def _pell_pairs(count, d):
+    # solutions of p^2 - d q^2 = +-1 (d = 2) or = 1 (d = 3), in increasing size
+    p, q = (1, 1) if d == 2 else (2, 1)
+    base = (p, q)
+    pairs = []
+    for _ in range(count):
+        pairs.append((p, q))
+        p, q = p * base[0] + d * q * base[1], p * base[1] + q * base[0]
+    return pairs
+
+
+def test_real_sign_decides_pell_values_exactly():
+    field = Field.cyclotomic(8)
+    z = field.root(1)
+    sqrt2 = z - z ** 3
+    assert sqrt2 * sqrt2 == field.from_int(2)
+    for p, q in _pell_pairs(40, 2):
+        expected = 1 if p * p > 2 * q * q else -1
+        value = field.from_int(p) - field.from_int(q) * sqrt2
+        assert value.real_sign() == expected
+        assert (-value).real_sign() == -expected
+        assert (value * field.from_rational(Fraction(1, 7))).real_sign() == expected
+    # a float of either value reads the wrong sign or too little to decide
+    assert (field.from_int(10812186007) - field.from_int(7645370045) * sqrt2).real_sign() == -1
+    assert (field.from_int(318281039) - field.from_int(225058681) * sqrt2).real_sign() == -1
+
+
+def test_real_sign_in_other_real_subfields():
+    f12 = Field.cyclotomic(12)
+    z = f12.root(1)
+    sqrt3 = z + z.conj()
+    assert sqrt3 * sqrt3 == f12.from_int(3)
+    for p, q in _pell_pairs(30, 3):
+        value = f12.from_int(p) - f12.from_int(q) * sqrt3
+        assert value.real_sign() == 1 and (-value).real_sign() == -1
+        assert (f12.from_int(q) * sqrt3 - f12.from_int(p - 1)).real_sign() == 1
+    # F_{k+1} - F_k * phi = (-1/phi)^k, so its sign alternates
+    f5 = Field.cyclotomic(5)
+    w = f5.root(1)
+    phi = f5.one() + w + w.conj()
+    assert phi * phi == phi + f5.one()
+    a, b = 1, 1
+    for k in range(1, 60):
+        value = f5.from_int(a + b) - f5.from_int(a) * phi
+        assert value.real_sign() == (-1) ** (k + 1)
+        a, b = a + b, a
+    assert f5.zero().real_sign() == 0 and (phi - phi).real_sign() == 0
+
+
+def test_real_sign_rejects_non_real_values():
+    field = Field.cyclotomic(8)
+    for value in (field.root(1), field.root(2) + field.one(), field.root(1) * field.from_int(3)):
+        with pytest.raises(ValueError, match="non-real"):
+            value.real_sign()
+    approx = Field.approx(1e-10)
+    assert approx.from_complex(-2.5).real_sign() == -1
+    assert approx.from_complex(1e-12).real_sign() == 0
+    with pytest.raises(ValueError, match="non-real"):
+        approx.from_complex(1 + 1j).real_sign()

@@ -174,3 +174,17 @@ def test_double_cover_requires_root_of_unity():
     data = OmegaData(space=space, omega=Matrix.identity(field, 2), d=0)
     with pytest.raises(ValueError, match="root of unity"):
         double_cover(data)
+
+
+def test_shift_shares_the_phase_memo_and_keeps_zero_entries():
+    rng = random.Random(14)
+    for order in (4, 8, 12):
+        inst = random_valid_instance(rng, n=4, order=order)
+        for s in (-2, 1, 3):
+            shifted = degree_shift(inst, s)
+            assert shifted.space.zeta_pow is inst.space.zeta_pow
+            assert shifted.space.degrees == tuple(a - s for a in inst.space.degrees)
+            assert inst.space.degrees == tuple(sorted(inst.space.degrees))
+            for row, new_row in zip(inst.omega.entries, shifted.omega.entries):
+                for x, y in zip(row, new_row):
+                    assert (y is x) if x.is_zero() else not y.is_zero()
