@@ -13,12 +13,12 @@ need z-commutators.
 On top of the element arithmetic this module supplies comultiplication
 application on one, two and three tensor legs, the coassociativity check,
 and bounded-degree ideal-membership certification by exact sparse
-Gaussian elimination.
+Gaussian elimination (the certifier itself is in ``_certifier``, loaded on
+first use).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field as dataclass_field
 
 from .scalar import Field, FieldMismatch, PhasePowers, Scalar
@@ -270,12 +270,6 @@ def _word_adjoint(context: AlgebraContext, w: Word) -> tuple[Scalar, Word]:
     return _z_pass_phase(context, w.zexp, w.letters), Word(-w.zexp, starred)
 
 
-def _accumulate(out: dict, key, coeff: Scalar) -> None:
-    """Add ``coeff`` to ``out[key]``; the element constructors drop zero sums."""
-    prev = out.get(key)
-    out[key] = coeff if prev is None else prev + coeff
-
-
 def _adopted(element, terms: dict):
     """``element`` (built empty) with ``terms`` taken as its term dict as is:
     a dict that ``_add_scaled`` built holds no zero coefficient, so the
@@ -284,11 +278,13 @@ def _adopted(element, terms: dict):
     return element
 
 
-def _add_scaled(out: dict, coeff: Scalar, terms) -> None:
-    """``out += coeff * terms`` in place, as ``out + piece.scale(coeff)`` would
-    give it: zero products are skipped and a key whose sum is zero is deleted."""
-    for key, c in terms:
-        term = coeff * c
+def _add_scaled(out: dict, coeff: Scalar | None, terms) -> None:
+    """``out += coeff * terms`` in place (``coeff`` None adds the terms as
+    they are): zero terms are skipped and a key whose sum is zero is deleted.
+    Every element that arithmetic builds is summed here."""
+    for key, term in terms:
+        if coeff is not None:
+            term = coeff * term
         if term.is_zero():
             continue
         prev = out.get(key)
@@ -324,28 +320,28 @@ class _Combination:
         if self._space() != other._space():
             raise FieldMismatch(f"{type(self).__name__} context mismatch")
 
+    def _sum(self, terms, coeff: Scalar | None = None, start=()):
+        """A combination of this kind holding ``start + coeff * terms``."""
+        out = dict(start)
+        _add_scaled(out, coeff, terms)
+        return _adopted(self._like({}), out)
+
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return self._like(out)
+        return self._sum(other.terms.items(), start=self.terms)
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            out[key] = -c if prev is None else prev - c
-        return self._like(out)
+        # prev + (-c) is prev - c, exactly and in floating point
+        return self._sum(((key, -c) for key, c in other.terms.items()), start=self.terms)
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self.terms.items()})
+        return self._sum((key, -c) for key, c in self.terms.items())
 
     def scale(self, coeff: Scalar):
         if coeff.is_zero():
             return self._like({})
-        return self._like({key: coeff * c for key, c in self.terms.items()})
+        return self._sum(self.terms.items(), coeff)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -414,19 +410,21 @@ class AlgebraElement(_Combination):
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        out: dict[Word, Scalar] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                phase, word = _word_mul(self.context, wa, wb)
-                _accumulate(out, word, ca * cb * phase)
-        return AlgebraElement(self.context, out)
+        context = self.context
+
+        def products():
+            for wa, ca in self.terms.items():
+                for wb, cb in other.terms.items():
+                    phase, word = _word_mul(context, wa, wb)
+                    yield word, ca * cb * phase
+        return self._sum(products())
 
     def adjoint(self) -> "AlgebraElement":
-        out: dict[Word, Scalar] = {}
-        for w, c in self.terms.items():
-            phase, word = _word_adjoint(self.context, w)
-            _accumulate(out, word, c.conj() * phase)
-        return AlgebraElement(self.context, out)
+        def adjoints():
+            for w, c in self.terms.items():
+                phase, word = _word_adjoint(self.context, w)
+                yield word, c.conj() * phase
+        return self._sum(adjoints())
 
     # predicates ----------------------------------------------------------
 
@@ -504,44 +502,43 @@ class TensorElement(_Combination):
         if len(factors) not in (2, 3):
             raise ValueError("tensor() takes 2 or 3 factors")
         context = factors[0].context
-        out: dict[tuple[Word, ...], Scalar] = {}
 
         def _extend(prefix, coeff, rest):
             if not rest:
-                _accumulate(out, prefix, coeff)
+                yield prefix, coeff
                 return
             for w, c in rest[0].terms.items():
-                _extend(prefix + (w,), coeff * c, rest[1:])
+                yield from _extend(prefix + (w,), coeff * c, rest[1:])
 
-        _extend((), context.field.one(), list(factors))
-        return cls(context, len(factors), out)
+        return cls(context, len(factors))._sum(_extend((), context.field.one(), list(factors)))
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """Legwise product; braiding phases already live in the z-bookkeeping."""
         self._check(other)
-        out: dict[tuple[Word, ...], Scalar] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                coeff = ca * cb
-                words = []
-                for a, b in zip(wa, wb):
-                    phase, word = _word_mul(self.context, a, b)
-                    coeff = coeff * phase
-                    words.append(word)
-                _accumulate(out, tuple(words), coeff)
-        return TensorElement(self.context, self.legs, out)
+
+        def products():
+            for wa, ca in self.terms.items():
+                for wb, cb in other.terms.items():
+                    coeff = ca * cb
+                    words = []
+                    for a, b in zip(wa, wb):
+                        phase, word = _word_mul(self.context, a, b)
+                        coeff = coeff * phase
+                        words.append(word)
+                    yield tuple(words), coeff
+        return self._sum(products())
 
     def adjoint(self) -> "TensorElement":
-        out: dict[tuple[Word, ...], Scalar] = {}
-        for ws, c in self.terms.items():
-            coeff = c.conj()
-            words = []
-            for w in ws:
-                phase, word = _word_adjoint(self.context, w)
-                coeff = coeff * phase
-                words.append(word)
-            _accumulate(out, tuple(words), coeff)
-        return TensorElement(self.context, self.legs, out)
+        def adjoints():
+            for ws, c in self.terms.items():
+                coeff = c.conj()
+                words = []
+                for w in ws:
+                    phase, word = _word_adjoint(self.context, w)
+                    coeff = coeff * phase
+                    words.append(word)
+                yield tuple(words), coeff
+        return self._sum(adjoints())
 
     def max_leg_length(self) -> int:
         return max((len(w) for ws in self.terms for w in ws), default=0)
@@ -725,353 +722,12 @@ class MembershipCertificate:
         }
 
 
-class IdealCertifier:
-    """Row-reduced spanning set of bounded two-sided relation multiples.
-
-    The ambient spanning set is {a * r * b} for r in the relation list and
-    its adjoints, a and b monomials, subject to word-degree <= bound and
-    |zexp| <= bound.  Rows are discovered by division: starting from the
-    target's words, every decoration a * r * b whose support meets the
-    working column set is generated (matching each relation word as a
-    contiguous factor), and newly seen support words are processed in turn
-    until the component closes.  Rows supported outside the closure cannot
-    contribute to any combination hitting the target, so the restricted
-    elimination decides exactly the same membership questions as the full
-    spanning set.
-
-    Columns are interned words: a ``Word`` becomes the int tuple
-    ``(zexp, len, letter_codes)`` when a relation or target comes in, and
-    goes back to a ``Word`` only in certificate entries and residuals.
-    A letter is checked against the context when it is interned, so
-    ``GeneratorSym.key()`` is a total order on the letters a certifier
-    sees; letter codes are the key's rank, so the tuple order of an
-    interned word is ``Word.key()`` order, and hashing and comparing
-    columns never touches a dataclass.
-
-    Determinism: columns are words in canonical order, frontier words and
-    the rows found for each are processed in canonical order, and the
-    pivot is always the first nonzero column.  Reduction takes that column
-    from a heap of the vector's pivot words: the reduction word strictly
-    increases, so a popped word that has already cancelled is skipped and
-    a word is pushed only when it enters the vector with a pivot.
-
-    Coefficients are the scalars' raw values (``Scalar.raw``), computed on
-    by the field's kernel; entries of a certificate wrap them back in a
-    ``Scalar``.
-
-    The certifier runs in one thread; ``workers`` is accepted for
-    compatibility and changes nothing.
-    """
-
-    def __init__(self, context: AlgebraContext, relations, degree_bound: int,
-                 row_cap: int = DEFAULT_ROW_CAP, workers: int = 1):
-        self.context = context
-        self.relations = list(relations)
-        self.degree_bound = degree_bound
-        self.row_cap = row_cap
-        self.capped = False
-        self._kernel = context.field.kernel
-        self._zeta_raw: dict[int, object] = {}  # e -> raw zeta^e
-
-        # letter interning: GeneratorSym -> code, code -> letter, code -> zdeg
-        self._codes: dict[GeneratorSym, int] = {}
-        self._letters: dict[int, GeneratorSym] = {}
-        self._zdeg: dict[int, int] = {}
-
-        # (idx, star) -> terms (word, raw coeff, zdeg of the word's letters)
-        # of the relation or, for star, its adjoint
-        self._oriented: dict[tuple[int, bool], list[tuple[tuple, object, int]]] = {}
-        # (idx, star, words in canonical order, longest word, z-exponent range)
-        base: list[tuple[int, bool, list[tuple], int, int, int]] = []
-        seen_keys = set()
-        for idx, rel in enumerate(self.relations):
-            for star in (False, True):
-                elem = rel.adjoint() if star else rel
-                terms = [(self._encode(w), c) for w, c in elem.terms.items()]
-                self._oriented[(idx, star)] = [(w, c.raw, self._word_zdeg(w))
-                                               for w, c in terms]
-                if not terms or max(w[1] for w, _ in terms) > degree_bound:
-                    continue
-                terms.sort(key=lambda term: term[0])
-                inv = terms[0][1].inverse()
-                key = tuple((w, repr((inv * c).to_json())) for w, c in terms)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                zexps = [w[0] for w, _ in terms]
-                base.append((idx, star, [w for w, _ in terms],
-                             max(w[1] for w, _ in terms), min(zexps), max(zexps)))
-        self._base = base
-        # relation word letters -> (base index, zexp) of each base term with
-        # those letters, and the letter counts that occur
-        self._divisors: dict[tuple, list[tuple[int, int]]] = {}
-        for bi, (_, _, term_words, _, _, _) in enumerate(base):
-            for u_zexp, _, u_letters in term_words:
-                self._divisors.setdefault(u_letters, []).append((bi, u_zexp))
-        self._divisor_lengths = sorted({len(u) for u in self._divisors})
-        self._inverses: dict = {}  # raw pivot lead -> its raw inverse
-
-        # pivots: word -> (vector, row_id, recipe, inverse lead); the recipe
-        # records the pivot hits consumed while reducing the inserted row, so
-        # full row combinations are resolved lazily per certificate
-        self._pivots: dict[tuple, tuple[dict, int, dict, object]] = {}
-        self._combo_cache: dict[tuple, dict[int, object]] = {}
-        self._decorations: list[tuple[tuple, int, bool, tuple]] = []
-        self._processed: set[tuple] = set()
-        self._seen_rows: set[tuple] = set()
-
-    # interned words -------------------------------------------------------
-
-    def _letter_code(self, letter: GeneratorSym) -> int:
-        """The letter's code, interning it on first sight; codes follow
-        ``GeneratorSym.key()``, which is a total order on checked letters."""
-        code = self._codes.get(letter)
-        if code is not None:
-            return code
-        self.context._check_letter(letter)
-        n = self.context.n
-        code = (_KIND_RANK[letter.kind] * n + letter.i) * n + letter.j
-        self._codes[letter] = code
-        self._letters[code] = letter
-        self._zdeg[code] = self.context.zdeg(letter)
-        return code
-
-    def _encode(self, word: Word) -> tuple:
-        return (word.zexp, len(word.letters), tuple(map(self._letter_code, word.letters)))
-
-    def _decode(self, word: tuple) -> Word:
-        return Word(word[0], tuple(map(self._letters.__getitem__, word[2])))
-
-    def _word_zdeg(self, word: tuple) -> int:
-        zdeg = self._zdeg
-        return sum(zdeg[code] for code in word[2])
-
-    # row discovery --------------------------------------------------------
-
-    def _rows_touching(self, word: tuple) -> list[tuple[tuple, int, bool, tuple]]:
-        """All decorations (a, r, b) with a relation word of r dividing `word`
-        whose row stays within the word-length and |zexp| bound."""
-        D = self.degree_bound
-        found = []
-        zexp, length, letters = word
-        base, divisors, seen = self._base, self._divisors, self._seen_rows
-        for k in self._divisor_lengths:
-            if k > length:
-                break
-            for pos in range(length - k + 1):
-                for bi, u_zexp in divisors.get(letters[pos:pos + k], ()):
-                    idx, star, _, max_len, zexp_lo, zexp_hi = base[bi]
-                    shift = zexp - u_zexp
-                    # every decoration matching u pads r by length - k letters
-                    # and shifts its z-exponents by `shift`
-                    if (length - k + max_len > D
-                            or shift + zexp_lo < -D or shift + zexp_hi > D):
-                        continue
-                    left = (0, pos, letters[:pos])
-                    right = (shift, length - pos - k, letters[pos + k:])
-                    key = (bi, left, right)
-                    if key not in seen:
-                        seen.add(key)
-                        found.append((left, idx, star, right))
-        found.sort(key=lambda d: (d[1], d[2], d[0], d[3]))
-        return found
-
-    def _expand_row(self, decoration) -> dict[tuple, object]:
-        """The terms of the decorated row a * r * b.
-
-        With a = la z^p and b = lb z^s, each term c * lw z^q of r becomes
-        c * zeta^e * la lw lb z^(p+q+s), e = -p*zdeg(lw) - (p+q)*zdeg(lb).
-        Multiplying by a monomial is injective on words, so no two terms
-        merge and no coefficient vanishes.
-        """
-        (p, la_len, la), idx, star, right = decoration
-        s, lb_len, lb = right
-        right_zdeg = self._word_zdeg(right)
-        mul, zeta_raw = self._kernel.mul, self._zeta_raw
-        row: dict[tuple, object] = {}
-        for (q, w_len, lw), c, w_zdeg in self._oriented[(idx, star)]:
-            e = -p * w_zdeg - (p + q) * right_zdeg
-            if e:
-                phase = zeta_raw.get(e)
-                if phase is None:
-                    phase = zeta_raw[e] = self.context.zeta_pow(e).raw
-                c = mul(c, phase)
-            row[(p + q + s, la_len + w_len + lb_len, la + lw + lb)] = c
-        return row
-
-    def _ensure_closure(self, seeds) -> None:
-        """Generate every spanning row in the component of the seed words."""
-        D = self.degree_bound
-        processed = self._processed
-        frontier = sorted({w for w in seeds
-                           if w not in processed and w[1] <= D and abs(w[0]) <= D})
-        while frontier and not self.capped:
-            discovered: set[tuple] = set()
-            for word in frontier:
-                if word in processed:
-                    continue
-                processed.add(word)
-                for decoration in self._rows_touching(word):
-                    row = self._expand_row(decoration)
-                    if len(self._decorations) >= self.row_cap:
-                        self.capped = True
-                        return
-                    row_id = len(self._decorations)
-                    self._decorations.append(decoration)
-                    discovered.update(row)
-                    self._insert(row, row_id)
-            frontier = sorted(discovered - processed)
-
-    # elimination ---------------------------------------------------------
-
-    def _reduce_vector(self, vec: dict[tuple, object]):
-        """Canonical residual of a raw vector and the pivot hits consumed."""
-        pivots = self._pivots
-        fms, is_zero, zero = self._kernel.fms, self._kernel.is_zero, self._kernel.zero
-        vec = {w: c for w, c in vec.items() if not is_zero(c)}
-        heap = [w for w in vec if w in pivots]
-        heapq.heapify(heap)
-        hits: dict[tuple, object] = {}
-        while heap:
-            word = heapq.heappop(heap)
-            coeff = vec.get(word)
-            if coeff is None:
-                continue
-            for w, c in pivots[word][0].items():
-                prev = vec.get(w)
-                new = fms(zero if prev is None else prev, coeff, c)
-                if is_zero(new):
-                    vec.pop(w, None)
-                else:
-                    vec[w] = new
-                    if prev is None and w in pivots:
-                        heapq.heappush(heap, w)
-            # the reduction word strictly increases, so each pivot is hit once
-            # and hits are in canonical order
-            hits[word] = coeff
-        return vec, hits
-
-    def _insert(self, vec: dict[tuple, object], row_id: int) -> None:
-        residual, used = self._reduce_vector(vec)
-        if not residual:
-            return
-        lead = min(residual)
-        lead_coeff = residual[lead]
-        inv = self._inverses.get(lead_coeff)
-        if inv is None:
-            inv = self._inverses[lead_coeff] = self._kernel.inverse(lead_coeff)
-        mul = self._kernel.mul
-        vec_n = {w: mul(inv, c) for w, c in residual.items()}
-        # pivot row = inv * (row_{row_id} - sum used[q] * pivot_q)
-        self._pivots[lead] = (vec_n, row_id, used, inv)
-
-    def _pivot_combo(self, word: tuple) -> dict[int, object]:
-        """Resolve a pivot row as a combination of original decorated rows.
-
-        Recipes always reference pivots inserted earlier, so the dependency
-        graph is acyclic; an explicit post-order walk avoids recursion limits.
-        """
-        cached = self._combo_cache.get(word)
-        if cached is not None:
-            return cached
-        stack: list[tuple[tuple, bool]] = [(word, False)]
-        while stack:
-            current, expanded = stack.pop()
-            if current in self._combo_cache:
-                continue
-            recipe = self._pivots[current][2]
-            if not expanded:
-                stack.append((current, True))
-                for dep in recipe:
-                    if dep not in self._combo_cache:
-                        stack.append((dep, False))
-                continue
-            _, row_id, used, inv = self._pivots[current]
-            combo = {row_id: inv}
-            for dep, coeff in used.items():
-                self._subtract_scaled(combo, self._kernel.mul(inv, coeff), self._combo_cache[dep])
-            self._combo_cache[current] = combo
-        return self._combo_cache[word]
-
-    def _combo_from_hits(self, hits: dict[tuple, object]) -> dict[int, object]:
-        combo: dict[int, object] = {}
-        k = self._kernel
-        for word, coeff in hits.items():
-            # combo + coeff * c == combo - (-coeff) * c
-            self._subtract_scaled(combo, k.fms(k.zero, coeff, k.one), self._pivot_combo(word))
-        return combo
-
-    def _subtract_scaled(self, combo: dict, scale, other: dict) -> None:
-        """combo -= scale * other, dropping the entries that cancel."""
-        fms, is_zero, zero = self._kernel.fms, self._kernel.is_zero, self._kernel.zero
-        for rid, c in other.items():
-            prev = combo.get(rid)
-            new = fms(zero if prev is None else prev, scale, c)
-            if is_zero(new):
-                combo.pop(rid, None)
-            else:
-                combo[rid] = new
-
-    # public reduction ----------------------------------------------------
-
-    def _entries_from_combo(self, combo: dict[int, object], leg: int,
-                            other: Word | None) -> list[CertEntry]:
-        entries = []
-        for rid in sorted(combo):
-            left, idx, star, right = self._decorations[rid]
-            entries.append(CertEntry(leg=leg, left=self._decode(left), rel_index=idx,
-                                     star=star, right=self._decode(right), other=other,
-                                     coeff=Scalar(self.context.field, combo[rid])))
-        return entries
-
-    def _verdict(self, residual, target_words, reductions) -> MembershipCertificate:
-        """The certificate of a target whose reduction left the encoded words
-        ``residual``.  An empty residual is in_ideal, even under a capped
-        closure, since the combination replays; the (hits, leg, other) of each
-        reduction become its entries.  Otherwise a capped closure leaves the
-        target undecided, and a target or residual on the empty word alone is
-        a nonzero constant."""
-        if not residual:
-            entries = [entry for hits, leg, other in reductions
-                       for entry in self._entries_from_combo(self._combo_from_hits(hits),
-                                                             leg, other)]
-            return MembershipCertificate("in_ideal", self.degree_bound, tuple(entries))
-        if self.capped:
-            return MembershipCertificate("undecided_at_bound", self.degree_bound)
-        constant = (all(w.is_identity() for w in target_words)
-                    or all(w == (0, 0, ()) for w in residual))
-        verdict = "nonzero_constant_obstruction" if constant else "undecided_at_bound"
-        return MembershipCertificate(verdict, self.degree_bound)
-
-    def certify_element(self, element: AlgebraElement) -> MembershipCertificate:
-        vec = {self._encode(w): c.raw for w, c in element.terms.items()}
-        self._ensure_closure(vec)
-        residual, hits = self._reduce_vector(vec)
-        return self._verdict(residual, element.terms, [(hits, 0, None)])
-
-    def certify_tensor(self, target: TensorElement) -> MembershipCertificate:
-        if target.legs != 2:
-            raise ValueError("tensor certification is for 2-leg targets")
-        encoded = {w: self._encode(w) for ws in target.terms for w in ws}
-        self._ensure_closure(encoded.values())
-        reductions = []
-
-        # leg 1 is reduced over each leg-2 monomial, then leg 2 over each
-        # leg-1 monomial of what is left
-        final = {(encoded[w1], encoded[w2]): c.raw
-                 for (w1, w2), c in target.terms.items()}
-        for leg in (1, 2):
-            by_other: dict[tuple, dict[tuple, object]] = {}
-            for pair, c in final.items():
-                by_other.setdefault(pair[2 - leg], {})[pair[leg - 1]] = c
-            final = {}
-            for other in sorted(by_other):
-                residual, hits = self._reduce_vector(by_other[other])
-                reductions.append((hits, leg, self._decode(other)))
-                for w, c in residual.items():
-                    final[(w, other) if leg == 1 else (other, w)] = c
-        return self._verdict([w for pair in final for w in pair],
-                             [w for ws in target.terms for w in ws], reductions)
+def __getattr__(name: str):
+    # the certifier is compiled on first use, not on import (see _certifier)
+    if name == "IdealCertifier":
+        from ._certifier import IdealCertifier
+        return IdealCertifier
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def ideal_membership(target, relations, degree_bound: int, *,
@@ -1081,6 +737,8 @@ def ideal_membership(target, relations, degree_bound: int, *,
     ``workers`` is accepted for compatibility; the certifier is
     single-threaded and the certificate does not depend on it.
     """
+    from ._certifier import IdealCertifier
+
     tensor = isinstance(target, TensorElement)
     if (target.max_leg_length() if tensor else target.max_word_length()) > degree_bound:
         raise ValueError("degree_bound is below the target's word degree")
@@ -1113,6 +771,8 @@ def well_definedness_check(presentation, degree_bound: int, *,
                 cert = MembershipCertificate("undecided_at_bound", degree_bound)
             else:
                 if certifier is None:
+                    from ._certifier import IdealCertifier
+
                     certifier = IdealCertifier(presentation.context, presentation.relations,
                                                degree_bound, row_cap=row_cap, workers=workers)
                 cert = certifier.certify_tensor(target)

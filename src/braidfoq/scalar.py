@@ -1,7 +1,8 @@
 """Exact cyclotomic scalars, a floating complex fallback, and exact matrices.
 
 A scalar holds one raw value, and its field owns the one kernel that
-computes on raw values: mul, fms (p - x*y), is_zero, inverse, zero and one.
+computes on raw values: mul, fms (p - x*y), is_zero, inverse, zero and one,
+and, for exact fields, the table of signed roots of unity (``units``).
 An exact scalar lives in Q(zeta_N); its raw value is the flat tuple
 (n_0, ..., n_{d-1}, den) of integer numerators, one per power-basis
 coordinate (reduced modulo the N-th cyclotomic polynomial), over one
@@ -33,6 +34,8 @@ __all__ = [
 MAX_CYCLOTOMIC_ORDER = 1 << 16
 # above this degree the generated multiply costs more to build than it saves
 _GENERATED_MAX_DEGREE = 16
+# the largest table of signed roots of unity a kernel builds (order 240 holds 15,360)
+_MAX_UNIT_ENTRIES = 1 << 20
 
 
 class FieldMismatch(ValueError):
@@ -177,6 +180,21 @@ class _CycloTable:
     fms = cached_property(lambda self: self._kernel("fms"))
     conj = cached_property(lambda self: self._kernel("conj"))
 
+    @cached_property
+    def units(self) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]] | None:
+        """The signed roots of unity +-zeta_N^k as the powers zeta_M^e,
+        M = lcm(2, N): the list of raw values e -> zeta_M^e and the dict back.
+        For odd N, zeta_2N = -zeta_N^((N+1)/2).  Built on first use; None
+        when the list would hold more than _MAX_UNIT_ENTRIES integers."""
+        odd = self.order % 2
+        if (self.order << odd) * self.degree > _MAX_UNIT_ENTRIES:
+            return None
+        roots = []
+        for e in range(self.order << odd):
+            power = self.power(e * (self.order + 1) // 2 if odd else e)
+            roots.append((*(map(_neg, power) if odd and e % 2 else power), 1))
+        return roots, {raw: e for e, raw in enumerate(roots)}
+
     def _kernel(self, name: str):
         with self._lock:
             if self.degree <= _GENERATED_MAX_DEGREE:
@@ -207,6 +225,7 @@ class _ApproxKernel:
     """The kernel of an approx field: raw values are complex doubles."""
 
     zero, one = 0j, 1 + 0j
+    units = None  # no exact roots of unity
     mul = staticmethod(_mul)
     conj = staticmethod(complex.conjugate)
 

@@ -542,7 +542,8 @@ def test_fast_path_row_equals_generic_product(decoration_cases, case, data):
     # monomial multiplication is injective: no terms merge or vanish
     assert len(row) == len(rel.terms)
     field = ctx.field
-    assert AlgebraElement(ctx, {certifier._decode(w): Scalar(field, c)
+    # coefficients leave the certifier through its raw boundary
+    assert AlgebraElement(ctx, {certifier._decode(w): Scalar(field, certifier._raw(c))
                                 for w, c in row.items()}) == expected
 
 
@@ -552,7 +553,8 @@ def test_interned_words_round_trip_in_key_order(decoration_cases, data):
     from braidfoq.freealg import IdealCertifier
 
     shared, alphabet = decoration_cases["e1_boson"]
-    certifier = IdealCertifier(shared.context, shared.relations, 3)
+    # bound 4 gives four letter slots, enough for the words drawn below
+    certifier = IdealCertifier(shared.context, shared.relations, 4)
     # a letter equal in key to U(0,1) but not in grading would order words
     # apart from Word.key(), so the certifier refuses it
     odd = GeneratorSym("U", 0, 1, grading=7)
@@ -575,6 +577,9 @@ def test_interned_words_round_trip_in_key_order(decoration_cases, data):
     assert (ea == eb) == (a == b)
     if a.key() != b.key():
         assert (ea < eb) == (a.key() < b.key())
+    # a word longer than the slots is refused before any work
+    with pytest.raises(ValueError, match="slots"):
+        certifier._encode(Word(0, (alphabet[0],) * 5))
 
 
 @pytest.fixture(scope="module")
@@ -603,7 +608,7 @@ def _min_scan_reduce(certifier, vec):
         word = min(pivoted, key=lambda w: certifier._decode(w).key())
         coeff = vec[word]
         for w, c in pivots[word][0].items():
-            new = vec.get(w, field.zero()) - coeff * Scalar(field, c)
+            new = vec.get(w, field.zero()) - coeff * Scalar(field, certifier._raw(c))
             if new.is_zero():
                 vec.pop(w, None)
             else:
@@ -625,10 +630,12 @@ def test_heap_reduction_matches_min_scan(e1_bound3_certifier, data):
     for lead in data.draw(st.lists(st.sampled_from(leads), max_size=4)):
         scale = data.draw(coeff)
         for w, c in certifier._pivots[lead][0].items():
-            vec[w] = vec.get(w, field.zero()) + scale * Scalar(field, c)
-    residual, hits = certifier._reduce_vector({w: c.raw for w, c in vec.items()})
-    residual = {w: Scalar(field, c) for w, c in residual.items()}
-    hits = {w: Scalar(field, c) for w, c in hits.items()}
+            vec[w] = vec.get(w, field.zero()) + scale * Scalar(field, certifier._raw(c))
+    # coefficients cross the certifier's raw boundary both ways
+    residual, hits = certifier._reduce_vector({w: certifier._coeff(c.raw)
+                                               for w, c in vec.items()})
+    residual = {w: Scalar(field, certifier._raw(c)) for w, c in residual.items()}
+    hits = {w: Scalar(field, certifier._raw(c)) for w, c in hits.items()}
     expected_residual, expected_hits = _min_scan_reduce(certifier, vec)
     assert residual == expected_residual
     assert list(hits.items()) == list(expected_hits.items())
@@ -657,6 +664,123 @@ def test_bound3_certificates_match_recorded_bytes(request, fixture, label):
                for r in report["relations"]]
     text = json.dumps(payload, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == recorded["cert_sha256"]
+
+
+# recorded before columns were packed into ints and units held as exponents:
+# odd orders (M = 2N), units that are no single basis coordinate (orders 12
+# and 24) and non-unit coefficients (n = 3)
+@pytest.mark.parametrize("order, n, seed, sha", [
+    (5, 2, 2, "56934950ef2fba1685cbe9dde4d84e2addb16bef81a629468ef3b0dc3d4229dc"),
+    (15, 2, 4, "3a11938a4fc7e0672a102a67522677d6838c73b5171b08eb3f6c743474ea3433"),
+    (12, 2, 2, "b9f3785115459c155973f35b9b9474f4e0cb3d8f39ec2937800b2cdc002d1443"),
+    (24, 2, 2, "098db957e5006f455ea2a9ae3179df0a583583bcf434af8527ba89c01725c7ce"),
+    (8, 3, 5, "237c057cc28d9999412231aecf88dc8e37d72c6433ae2031182d3ad376ad50ce"),
+    (24, 3, 5, "00eac7426ab21bde1ca961895d04cebfb8ce9da3d73470b773f7b83d5890f845"),
+])
+def test_random_instance_certificates_match_recorded_bytes(order, n, seed, sha):
+    import hashlib
+    import json
+
+    from braidfoq.sampling import random_valid_instance
+
+    data = random_valid_instance(random.Random(seed), n=n, order=order, d=0)
+    report = well_definedness_check(bosonisation_presentation(data), 3)
+    assert report["all_in_ideal"]
+    payload = [{"relation": r["relation"], "certificate": r["certificate"].to_json()}
+               for r in report["relations"]]
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+# -- packed columns and unit exponents -------------------------------------------
+
+
+def test_packed_word_order_is_key_order(boson_e1):
+    from braidfoq.freealg import IdealCertifier
+
+    ctx = boson_e1.context
+    certifier = IdealCertifier(ctx, boson_e1.relations, 4)
+    slots = certifier._slots
+    assert slots == 4
+    # every letter of n = 2, so the codes fill their fields up to 4n^2 - 1
+    alphabet = sorted((ctx.letter(kind, i, j) for kind in ("U", "Ustar", "X", "Xstar")
+                       for i in range(2) for j in range(2)), key=GeneratorSym.key)
+    assert [certifier._letter_code(g) for g in alphabet] == list(range(16))
+    rng = random.Random(7)
+    words = set()
+    for zexp in range(-4, 5):
+        for length in range(slots + 1):
+            words.add(Word(zexp, (alphabet[0],) * length))
+            words.add(Word(zexp, (alphabet[-1],) * length))
+            for _ in range(12):
+                words.add(Word(zexp, tuple(rng.choice(alphabet) for _ in range(length))))
+    words = sorted(words, key=Word.key)
+    packed = [certifier._encode(w) for w in words]
+    assert packed == sorted(packed) and len(set(packed)) == len(words)
+    assert [certifier._decode(w) for w in packed] == words
+    assert certifier._encode(Word(0, ())) == 0
+
+
+def _unit_certifier(order):
+    from braidfoq import Field
+    from braidfoq.freealg import AlgebraContext, IdealCertifier
+
+    field = Field.cyclotomic(order)
+    ctx = AlgebraContext(field=field, zeta=field.root(1), degrees=(0,))
+    return IdealCertifier(ctx, [], 1), field
+
+
+@pytest.mark.parametrize("order", [*range(1, 61), 96, 240])
+def test_unit_exponents_agree_with_the_kernel(order):
+    import math
+
+    certifier, field = _unit_certifier(order)
+    kernel, raw = field.kernel, certifier._raw
+    M = math.lcm(2, order)
+    assert certifier._modulus == M
+    # zeta_M^e, built independently as powers of zeta_M: zeta_M^2 = zeta_N
+    # and zeta_M^(M/2) = -1
+    zeta_m = raw(1)
+    assert kernel.mul(zeta_m, zeta_m) == field.root(2 if M == order else 1).raw
+    power = kernel.one
+    for e in range(M):
+        assert raw(e) == power and certifier._coeff(power) == e
+        power = kernel.mul(power, zeta_m)
+    assert power == kernel.one and raw(M // 2) == (-field.one()).raw
+    rng = random.Random(order)
+    # nonzero non-units among 2, 1 + zeta_N and 1/2 + zeta_N
+    one, zeta_n = field.one(), field.root(1)
+    others = [c.raw for c in (one + one, one + zeta_n, one / (one + one) + zeta_n)
+              if not c.is_zero() and c.raw not in kernel.units[1]]
+    assert others
+
+    def check(got, want):
+        # the certifier's value is the kernel's, as an exponent exactly when a unit
+        if got is None:
+            assert kernel.is_zero(want)
+        else:
+            assert raw(got) == want and (type(got) is int) == (want in kernel.units[1])
+
+    for _ in range(20):
+        x, y = rng.randrange(M), rng.randrange(M)
+        for a, b in ((x, y), (x, rng.choice(others)), (rng.choice(others), y)):
+            check(certifier._mul(a, b), kernel.mul(raw(a), raw(b)))
+            check(certifier._fms(None, a, b), kernel.fms(kernel.zero, raw(a), raw(b)))
+            for p in (rng.randrange(M), (x + y) % M, rng.choice(others)):
+                check(certifier._fms(p, a, b), kernel.fms(raw(p), raw(a), raw(b)))
+            check(certifier._inverse(a), kernel.inverse(raw(a)))
+        # p cancels x * y exactly when p = x + y mod M
+        assert certifier._fms((x + y) % M, x, y) is None
+
+
+def test_unit_exponents_stay_off_approx_fields(boson_e1):
+    from braidfoq.freealg import IdealCertifier
+
+    actx, relations = _approx_image(boson_e1.context, boson_e1.relations)
+    certifier = IdealCertifier(actx, relations, 3)
+    assert certifier._modulus is None and certifier._one == actx.field.kernel.one
+    assert all(type(c) is complex for terms in certifier._oriented.values()
+               for *_, c, _ in terms)
 
 
 # -- linear-time sums against repeated + ---------------------------------------

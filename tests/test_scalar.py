@@ -635,3 +635,15 @@ def test_real_sign_rejects_non_real_values():
     assert approx.from_complex(1e-12).real_sign() == 0
     with pytest.raises(ValueError, match="non-real"):
         approx.from_complex(1 + 1j).real_sign()
+
+
+def test_unit_table_is_built_on_first_use_and_capped():
+    # no field construction or kernel arithmetic builds it
+    field = Field.cyclotomic(98)
+    field.root(5) * field.root(7)
+    assert "units" not in vars(field.kernel)
+    roots, index = field.kernel.units
+    assert len(roots) == 98 and all(index[raw] == e for e, raw in enumerate(roots))
+    assert roots[1] == field.root(1).raw and roots[49] == (-field.one()).raw
+    # past the cap the certifier keeps every coefficient a raw tuple
+    assert _CycloTable(2048).units is None
