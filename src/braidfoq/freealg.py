@@ -350,10 +350,17 @@ class _Combination:
         if not isinstance(other, type(self)):
             return NotImplemented
         # zero terms are never stored, so equal elements have equal supports
-        # and, term by term, coefficients whose difference is zero
-        theirs = other.terms
-        return (self._space() == other._space() and self.terms.keys() == theirs.keys()
-                and all(c == theirs[key] for key, c in self.terms.items()))
+        # and, term by term, coefficients whose difference is zero; with equal
+        # sizes one lookup per key (one hash of it) settles both
+        mine, theirs = self.terms, other.terms
+        if len(mine) != len(theirs) or self._space() != other._space():
+            return False
+        get = theirs.get
+        for key, c in mine.items():
+            other_c = get(key)
+            if other_c is None or not c == other_c:
+                return False
+        return True
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is not hashable")
@@ -597,8 +604,14 @@ def _substitute_words(element: AlgebraElement, one, letter_image, z_image):
 
 def apply_comult(element: AlgebraElement, presentation) -> TensorElement:
     """Extend the presentation's generator comultiplication multiplicatively."""
+    return _comult(element, presentation, {})
+
+
+def _comult(element: AlgebraElement, presentation, images: dict) -> TensorElement:
+    """``apply_comult`` reading each letter's image from ``images`` (a
+    letter -> 2-leg image table) and adding the ones it lacks, so callers
+    that comultiply many elements form each starred image once."""
     context = element.context
-    cache: dict = {}
     if any(word.zexp for word in element.terms):
         image = presentation.comult.get(GeneratorSym("Z"))
         if image is None:
@@ -607,7 +620,7 @@ def apply_comult(element: AlgebraElement, presentation) -> TensorElement:
             raise ValueError("z-powers extend only through the group-like image z (x) z")
     return _substitute_words(
         element, TensorElement.one(context, 2),
-        lambda letter: _comult_image(presentation, letter, cache),
+        lambda letter: _comult_image(presentation, letter, images),
         lambda zexp: TensorElement(context, 2, {(Word(zexp, ()),) * 2: context.field.one()}))
 
 
@@ -759,11 +772,12 @@ def well_definedness_check(presentation, degree_bound: int, *,
     """
     certifier = None
     results = []
+    images: dict = {}
     for label, rel in zip(presentation.relation_labels, presentation.relations):
         if rel.is_zero():
             cert = MembershipCertificate("in_ideal", degree_bound)
         else:
-            target = apply_comult(rel, presentation)
+            target = _comult(rel, presentation, images)
             if (target.max_leg_length() > degree_bound
                     or target.max_leg_zexp() > degree_bound
                     or rel.max_word_length() > degree_bound
@@ -784,11 +798,12 @@ def well_definedness_check(presentation, degree_bound: int, *,
 def _unreplayed(presentation, report: dict) -> list[str]:
     """The relations of a ``well_definedness_check`` report whose in_ideal
     certificate does not replay to the relation's comultiplication image."""
+    images: dict = {}
     return [record["relation"]
             for record, rel in zip(report["relations"], presentation.relations)
             if record["verdict"] == "in_ideal"
             and record["certificate"].replay(presentation.relations, presentation.context,
-                                             legs=2) != apply_comult(rel, presentation)]
+                                             legs=2) != _comult(rel, presentation, images)]
 
 
 def intertwiner_check(data, f_override=None) -> bool:

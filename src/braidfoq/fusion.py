@@ -82,11 +82,25 @@ def _check_label(label: IrrepLabel, ctx: FusionContext) -> None:
         raise ValueError(f"label (k={label.k}, l={label.l}) needs k - l even in odd parity")
 
 
+# one decomposition per ladder (k_a, k_b, l_a + l_b), shared by every caller
+_FUSE_MEMO: dict[tuple[int, int, int], FusionDecomposition] = {}
+
+
 def fuse(a: IrrepLabel, b: IrrepLabel, ctx: FusionContext) -> FusionDecomposition:
-    """Ladder decomposition of r(a) (x) r(b), highest rung first."""
+    """Ladder decomposition of r(a) (x) r(b), highest rung first.
+
+    The labels are checked against ``ctx`` on every call, but the ladder
+    depends only on (a.k, b.k, a.l + b.l): every call with the same three
+    integers returns one shared decomposition, kept in a module-level memo.
+    It is immutable (a tuple of frozen labels), so sharing it is safe.
+    """
     _check_label(a, ctx)
     _check_label(b, ctx)
     l = a.l + b.l
+    key = (a.k, b.k, l)
+    decomposition = _FUSE_MEMO.get(key)
+    if decomposition is not None:
+        return decomposition
     rungs = []
     for k in range(a.k + b.k, abs(a.k - b.k) - 1, -2):
         # k >= 0 by construction, so the label skips __init__ and its check
@@ -94,7 +108,7 @@ def fuse(a: IrrepLabel, b: IrrepLabel, ctx: FusionContext) -> FusionDecompositio
         attrs = label.__dict__
         attrs["k"], attrs["l"] = k, l
         rungs.append(label)
-    return FusionDecomposition(tuple(rungs))
+    return _FUSE_MEMO.setdefault(key, FusionDecomposition(tuple(rungs)))
 
 
 def conj_label(a: IrrepLabel) -> IrrepLabel:
@@ -135,34 +149,49 @@ def ring_checks(ctx: FusionContext, bound: int) -> dict:
     def _k_ladder(a: int, b: int) -> list[int]:
         return list(range(abs(a - b), a + b + 1, 2))
 
-    # every product a check reads is fused once, here, and kept only as its
-    # sorted (k, l) rungs: rungs[x][y] for labels[x] (x) labels[y]; conj_label
-    # maps the label set onto itself, so conj[x] indexes conj_label(labels[x])
-    rungs = [[sorted([(r.k, r.l) for r in fuse(a, b, ctx)]) for b in labels] for a in labels]
+    # every product a check reads is fused once, here.  fuse shares one
+    # decomposition per ladder, so each distinct object is read once: into
+    # its sorted (k, l) rungs, its conjugate's, its dimension and whether a
+    # rung leaves the odd-parity labels.  A fuse that returns fresh objects
+    # costs more reads, not other answers; each entry holds its object, so
+    # no later object can take that id
+    odd = ctx.parity == "odd_d"
+    read: dict[int, tuple] = {}
+
+    def _read(decomposition: FusionDecomposition) -> tuple:
+        entry = read.get(id(decomposition))
+        if entry is None:
+            rungs = tuple(sorted([(r.k, r.l) for r in decomposition]))
+            entry = read[id(decomposition)] = (
+                rungs, tuple(sorted([(k, -l) for k, l in rungs])),
+                sum([dim(r, ctx) for r in decomposition]),
+                odd and any((k - l) % 2 for k, l in rungs), decomposition)
+        return entry
+
+    # product[x][y] reads labels[x] (x) labels[y]; conj_label maps the label
+    # set onto itself, so conj[x] indexes conj_label(labels[x])
+    product = [[_read(fuse(a, b, ctx)) for b in labels] for a in labels]
     where = {(a.k, a.l): x for x, a in enumerate(labels)}
     conj = [where[a.k, -a.l] for a in labels]
-    # the top rung of a sorted ladder is its last
-    top = max([bound, *(ladder[-1][0] for row in rungs for ladder in row if ladder)])
-    dims = [dim(IrrepLabel(k, 0), ctx) for k in range(top + 1)]
-    unit = rungs[where[0, 0]]
+    dims = [dim(IrrepLabel(k, 0), ctx) for k in range(bound + 1)]
+    unit = product[where[0, 0]]
     for x, a in enumerate(labels):
-        if unit[x] != [(a.k, a.l)]:
+        if unit[x][0] != ((a.k, a.l),):
             failures.append({"check": "unit", "witness": [a.to_json()]})
 
     def _fail(check: str, a: IrrepLabel, b: IrrepLabel) -> None:
         failures.append({"check": check, "witness": [a.to_json(), b.to_json()]})
 
-    odd = ctx.parity == "odd_d"
-    for x, (a, row) in enumerate(zip(labels, rungs)):
+    for x, (a, row) in enumerate(zip(labels, product)):
         dim_a, conj_a = dims[a.k], conj[x]
-        for y, (b, ab) in enumerate(zip(labels, row)):
-            if ab != rungs[y][x]:
+        for y, (b, (ab, ab_conj, ab_dim, off_parity, _)) in enumerate(zip(labels, row)):
+            if ab != product[y][x][0]:
                 _fail("commutativity", a, b)
-            if dim_a * dims[b.k] != sum([dims[k] for k, _ in ab]):
+            if dim_a * dims[b.k] != ab_dim:
                 _fail("dimension", a, b)
-            if sorted([(k, -l) for k, l in ab]) != rungs[conj[y]][conj_a]:
+            if ab_conj != product[conj[y]][conj_a][0]:
                 _fail("conjugation", a, b)
-            if odd and any((k - l) % 2 for k, l in ab):
+            if off_parity:
                 _fail("parity_closure", a, b)
 
     # associativity on the integer ladders; the l-components are additive

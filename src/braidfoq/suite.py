@@ -32,7 +32,7 @@ class RunConfig:
     """Knobs for the battery; the seed is recorded in every report.
 
     ``field`` optionally pins the cyclotomic order of every randomized
-    instance; the default mixes orders 8, 12 and 24.  The checks run on
+    instance; the default mixes orders 4, 8, 12 and 24.  The checks run on
     ``min(workers, 8)`` processes, one check at a time each; at 1 they run
     in the calling process.  The report does not depend on ``workers``.
     """
@@ -57,16 +57,24 @@ class RunConfig:
         return (self.field.order,)
 
 
+# the cyclotomic order of the fixtures, and the orders each randomized check
+# mixes unless RunConfig.field pins one; _build_kernels reads the same tuples
+_FIXTURE_ORDER = 8
+_TRIVIALITY_ORDERS = (8, 12, 24)
+_SAMPLE_ORDERS = (4, 8, 12, 24)  # irreducibility and transforms
+_COASSOCIATIVITY_ORDERS = (8, 12)
+
+
 def fixture_e0() -> OmegaData:
     """Trivially graded 2x2 identity instance (c = 1)."""
-    field = Field.cyclotomic(8)
+    field = Field.cyclotomic(_FIXTURE_ORDER)
     space = GradedSpace(n=2, degrees=(0, 0), zeta=field.root(1), field=field)
     return OmegaData(space=space, omega=Matrix.identity(field, 2), d=0)
 
 
 def fixture_e1() -> OmegaData:
     """Degrees (0,1), d = 1, zeta = zeta_8^6; the braided SU_q(2)-type case."""
-    field = Field.cyclotomic(8)
+    field = Field.cyclotomic(_FIXTURE_ORDER)
     z = field.root(1)
     zero, one = field.zero(), field.one()
     space = GradedSpace(n=2, degrees=(0, 1), zeta=z ** 6, field=field)
@@ -76,7 +84,7 @@ def fixture_e1() -> OmegaData:
 
 def fixture_e2() -> OmegaData:
     """Degrees (0,2), d = 2, zeta = zeta_8 (c = zeta_8^2)."""
-    field = Field.cyclotomic(8)
+    field = Field.cyclotomic(_FIXTURE_ORDER)
     z = field.root(1)
     zero, one = field.zero(), field.one()
     space = GradedSpace(n=2, degrees=(0, 2), zeta=z, field=field)
@@ -93,7 +101,7 @@ def _check_triviality(config: RunConfig) -> dict:
     instances = 0
     mutants_checked = 0
     failures: list[str] = []
-    plan = [(n, order) for n in (2, 3, 4, 6) for order in config.orders((8, 12, 24))]
+    plan = [(n, order) for n in (2, 3, 4, 6) for order in config.orders(_TRIVIALITY_ORDERS)]
     while instances < 50:
         n, order = plan[instances % len(plan)]
         inst = random_valid_instance(rng, n=n, order=order)
@@ -118,7 +126,7 @@ def _check_irreducibility(config: RunConfig) -> dict:
     rng = _rng(config, "irreducibility")
     disagreements = []
     valid_count = 0
-    orders = config.orders((4, 8, 12, 24))
+    orders = config.orders(_SAMPLE_ORDERS)
     for i in range(100):
         inst = random_homogeneous_invertible(rng, order=orders[i % len(orders)])
         irreducible, _ = irreducibility_test(inst.space, inst.omega, inst.d)
@@ -134,7 +142,7 @@ def _check_irreducibility(config: RunConfig) -> dict:
 def _check_transforms(config: RunConfig) -> dict:
     rng = _rng(config, "transforms")
     failures: list[str] = []
-    orders = config.orders((4, 8, 12, 24))
+    orders = config.orders(_SAMPLE_ORDERS)
     for i in range(50):
         inst = random_valid_instance(rng, order=orders[i % len(orders)])
         s = rng.randrange(-3, 4)
@@ -178,7 +186,7 @@ def _check_coassociativity(config: RunConfig) -> dict:
             failures.append(f"{label} braided")
         if not coassociativity_check(bosonisation_presentation(inst)):
             failures.append(f"{label} bosonisation")
-    orders = config.orders((8, 12))
+    orders = config.orders(_COASSOCIATIVITY_ORDERS)
     for i in range(10):
         inst = random_valid_instance(rng, n=rng.choice([2, 3, 4]), order=rng.choice(orders))
         if not coassociativity_check(bosonisation_presentation(inst)):
@@ -284,19 +292,47 @@ _CHECKS = [
 
 
 # _CHECKS by serial cost, longest first (median CPU seconds of 30 runs at
-# seed 42 on a shared 2-vCPU host, each in a freshly forked process: 0.089,
-# 0.088, 0.087, 0.079, 0.078, 0.075, 0.015, 0.011); a pool that takes them
-# in this order finishes close to an even split of the total
+# seed 42 on a shared 2-vCPU host, each in a process forked from one that
+# ran _before_fork: 0.080, 0.073, 0.066, 0.064, 0.057, 0.035, 0.010, 0.006);
+# a pool that takes them in this order finishes close to an even split of
+# the total
 _LONGEST_FIRST = [
-    _check_fusion_ring,
-    _check_transforms,
     _check_coassociativity,
-    _check_well_definedness,
     _check_triviality,
     _check_irreducibility,
-    _check_q_parameter,
+    _check_transforms,
+    _check_well_definedness,
+    _check_fusion_ring,
     _check_intertwiner,
+    _check_q_parameter,
 ]
+
+
+def _build_kernels(config: RunConfig) -> None:
+    """Build mul, fms and conj for every cyclotomic order the checks reach:
+    the fixtures' order, each randomized check's orders under ``config``,
+    and the double cover (4N) of each."""
+    orders = {_FIXTURE_ORDER}
+    for default in (_TRIVIALITY_ORDERS, _SAMPLE_ORDERS, _COASSOCIATIVITY_ORDERS):
+        orders.update(config.orders(default))
+    for order in sorted(orders | {4 * order for order in orders}):
+        kernel = Field.cyclotomic(order).kernel
+        for name in ("mul", "fms", "conj"):
+            getattr(kernel, name)
+
+
+def _before_fork(config: RunConfig) -> None:
+    """Under the ``fork`` start method, build in this process what each
+    pool child would otherwise build again in every suite: the kernels and
+    the certifier module.  A process builds each kernel once, so later
+    suites fork children that inherit them all.  Under ``spawn`` or
+    ``forkserver`` the children inherit nothing, and this does nothing."""
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        return
+    _build_kernels(config)
+    from . import _certifier  # noqa: F401  (imported for the children)
 
 
 def _process_pool(workers: int):
@@ -321,6 +357,7 @@ def run_suite(config: RunConfig) -> dict:
     if config.workers == 1:
         checks = [check(config) for check in _CHECKS]
     else:
+        _before_fork(config)
         with _process_pool(min(config.workers, len(_CHECKS))) as pool:
             futures = {check: pool.submit(check, config) for check in _LONGEST_FIRST}
             checks = [futures[check].result() for check in _CHECKS]

@@ -216,3 +216,31 @@ def test_fuse_rungs_behave_like_constructed_labels(even, odd):
                 assert pickle.loads(pickle.dumps(rungs)) == built
     with pytest.raises(ValueError, match="nonnegative"):
         IrrepLabel(-1, 0)
+
+
+def test_fuse_shares_one_decomposition_per_ladder(even, odd):
+    # the ladder depends on (a.k, b.k, a.l + b.l) only, not on the context;
+    # the labels are still checked against the context on every call
+    shared = fuse(IrrepLabel(2, 1), IrrepLabel(1, 0), even)
+    assert fuse(IrrepLabel(2, -3), IrrepLabel(1, 4), even) is shared
+    assert fuse(IrrepLabel(2, 2), IrrepLabel(1, -1), odd) is shared
+    assert fuse(IrrepLabel(2, 2), IrrepLabel(1, 0), even) is not shared
+    assert fuse(IrrepLabel(1, 0), IrrepLabel(2, 1), even) is not shared
+    with pytest.raises(ValueError, match="k - l even"):
+        fuse(IrrepLabel(2, 1), IrrepLabel(1, 0), odd)
+
+
+def test_ring_checks_read_fresh_decompositions_like_shared_ones(monkeypatch, even, odd):
+    # ring_checks reads each distinct decomposition object once; a fuse
+    # that builds a new (equal) object per call must give the same report
+    import braidfoq.fusion as fusion_module
+
+    def fresh(a, b, ctx):
+        return FusionDecomposition(tuple(IrrepLabel(r.k, r.l) for r in fuse(a, b, ctx)))
+
+    for ctx in (even, odd, FusionContext(n=3, parity="odd_d")):
+        shared = ring_checks(ctx, 4)
+        monkeypatch.setattr(fusion_module, "fuse", fresh)
+        assert ring_checks(ctx, 4) == shared
+        assert shared["passed"] and shared["label_count"] > 0
+        monkeypatch.undo()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from braidfoq import Field, suite
+from braidfoq import Field, scalar, suite
 from braidfoq.suite import RunConfig, report_to_text, run_suite
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,3 +93,49 @@ def test_importing_the_library_loads_no_pool_module():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": str(ROOT / "src")}, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _spy_on_kernel_builds(monkeypatch) -> list:
+    """Empty the kernel cache and record each kernel compiled from now on."""
+    monkeypatch.setattr(scalar, "_TABLE_CACHE", {})
+    built = []
+    compiled = scalar._compiled
+
+    def spy(table, name, lines):
+        built.append((table.order, name))
+        return compiled(table, name, lines)
+
+    monkeypatch.setattr(scalar, "_compiled", spy)
+    return built
+
+
+@pytest.mark.parametrize("field", [None, 8, 12], ids=["default", "cyclo8", "cyclo12"])
+def test_kernels_built_before_forking_are_all_the_checks_compile(monkeypatch, field):
+    config = RunConfig(seed=42, field=None if field is None else Field.cyclotomic(field))
+    built = _spy_on_kernel_builds(monkeypatch)
+    suite._build_kernels(config)
+    assert built and len(built) == len(set(built))
+    before = len(built)
+    for check in suite._CHECKS:
+        check(config)
+    assert built[before:] == []
+
+
+def test_nothing_is_built_before_a_pool_that_inherits_nothing(monkeypatch):
+    import multiprocessing
+
+    built = _spy_on_kernel_builds(monkeypatch)
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda: "spawn")
+    suite._before_fork(RunConfig(seed=42, workers=2))
+    assert built == []
+
+
+def test_importing_the_library_builds_no_kernel_and_no_certifier():
+    code = ("import sys, braidfoq, braidfoq.suite, braidfoq.cli; "
+            "from braidfoq import scalar; "
+            "print(sorted((order, name) for order, table in scalar._TABLE_CACHE.items() "
+            "for name in ('mul', 'fms', 'conj') if name in vars(table)), "
+            "'braidfoq._certifier' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(ROOT / "src")}, timeout=60, check=True)
+    assert out.stdout.strip() == "[] False"
