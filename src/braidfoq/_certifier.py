@@ -414,8 +414,10 @@ class IdealCertifier:
         ``residual``.  An empty residual is in_ideal, even under a capped
         closure, since the combination replays; the (hits, leg, other) of each
         reduction become its entries.  Otherwise a capped closure leaves the
-        target undecided, and a target or residual on the empty word alone is
-        a nonzero constant."""
+        target undecided.  A target or residual on the empty word alone makes
+        the target a nonzero constant modulo the truncated span, which is an
+        obstruction when the counit witnesses that 1 is not in the ideal, and
+        undecided without that witness."""
         if not residual:
             entries = [entry for hits, leg, other in reductions
                        for entry in self._entries_from_combo(self._combo_from_hits(hits),
@@ -426,8 +428,20 @@ class IdealCertifier:
         # the empty word packs to 0
         constant = (all(w.is_identity() for w in target_words)
                     or all(w == 0 for w in residual))
-        verdict = "nonzero_constant_obstruction" if constant else "undecided_at_bound"
+        obstructed = constant and self._counit_kills_relations()
+        verdict = "nonzero_constant_obstruction" if obstructed else "undecided_at_bound"
         return MembershipCertificate(verdict, self.degree_bound)
+
+    def _counit_kills_relations(self) -> bool:
+        """Whether the counit, eps(u_ij) = eps(u*_ij) = eps(t_ij) = eps(t*_ij)
+        = delta_ij and eps(z) = 1, sends every relation to 0.  It is then a
+        character that vanishes on the ideal and is 1 on 1, so 1 is not in the
+        ideal.  A normal-form word counts 1 when all its letters are diagonal,
+        and 0 otherwise: z commutes with diagonal letters (phase zeta^0), so
+        this respects the z-rule."""
+        zero = self.context.field.zero()
+        return all(sum((c for w, c in rel.terms.items() if all(g.i == g.j for g in w.letters)),
+                       zero).is_zero() for rel in self.relations)
 
     def certify_element(self, element: AlgebraElement) -> MembershipCertificate:
         vec = {self._encode(w): self._coeff(c.raw) for w, c in element.terms.items()}

@@ -287,13 +287,16 @@ def _add_scaled(out: dict, coeff: Scalar | None, terms) -> None:
             term = coeff * term
         if term.is_zero():
             continue
-        prev = out.get(key)
-        if prev is not None:
+        # a new key is hashed once; the size, not identity, tells whether the
+        # key was there, since in x + x the stored term is the incoming one
+        size = len(out)
+        prev = out.setdefault(key, term)
+        if len(out) == size:
             term = prev + term
             if term.is_zero():
                 del out[key]
-                continue
-        out[key] = term
+            else:
+                out[key] = term
 
 
 class _Combination:

@@ -101,14 +101,8 @@ def fuse(a: IrrepLabel, b: IrrepLabel, ctx: FusionContext) -> FusionDecompositio
     decomposition = _FUSE_MEMO.get(key)
     if decomposition is not None:
         return decomposition
-    rungs = []
-    for k in range(a.k + b.k, abs(a.k - b.k) - 1, -2):
-        # k >= 0 by construction, so the label skips __init__ and its check
-        label = object.__new__(IrrepLabel)
-        attrs = label.__dict__
-        attrs["k"], attrs["l"] = k, l
-        rungs.append(label)
-    return _FUSE_MEMO.setdefault(key, FusionDecomposition(tuple(rungs)))
+    rungs = tuple(IrrepLabel(k, l) for k in range(a.k + b.k, abs(a.k - b.k) - 1, -2))
+    return _FUSE_MEMO.setdefault(key, FusionDecomposition(rungs))
 
 
 def conj_label(a: IrrepLabel) -> IrrepLabel:

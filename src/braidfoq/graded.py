@@ -15,7 +15,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field as dataclass_field
 
-from .scalar import Field, Matrix, PhasePowers, Scalar, SingularMatrix, sqrt_fraction
+from .scalar import (Field, Matrix, PhasePowers, Scalar, SingularMatrix, _product,
+                     sqrt_fraction)
 
 __all__ = [
     "GradedSpace",
@@ -165,10 +166,15 @@ def _validate(data: OmegaData) -> ValidationReport:
     space, d, omega = data.space, data.d, data.omega
     if omega.rows != omega.cols:
         raise ValueError("omega must be square")
-    field, entries = space.field, omega.entries
+    field = space.field
     kernel = field.kernel
     fms, is_zero, zero, one = kernel.fms, kernel.is_zero, kernel.zero, kernel.one
     idx = space.degree_indices()
+    # every entry off degree d is zero (OmegaData checks it), so the product
+    # skips them and conj(Omega) @ Omega is block diagonal by degree: its
+    # block at degree a is conj(Omega_{a,d-a}) @ Omega_{d-a,a}, and zero when
+    # degree d-a is unoccupied
+    full = _product(kernel, omega._nonzero(conj=True), omega._nonzero(), space.n)
 
     def _matrix(raw_rows) -> Matrix:
         return Matrix(field, [[Scalar(field, v) for v in row] for row in raw_rows])
@@ -177,22 +183,8 @@ def _validate(data: OmegaData) -> ValidationReport:
     residuals: dict[int, Matrix] = {}
     failure: str | None = None
     for a in sorted(idx):
-        rows, band = idx[a], idx.get(d - a, ())
-        # conj(Omega_{a,d-a}) @ Omega_{d-a,a} on raw values, each entry formed
-        # as Matrix.__matmul__ forms it (left factors negated, one fms per
-        # step); an unoccupied degree d-a leaves the zero product
-        product = []
-        for i in rows:
-            left = [((-x.conj()).raw, k) for k in band if not (x := entries[i][k]).is_zero()]
-            row = []
-            for j in rows:
-                acc = zero
-                for neg_x, k in left:
-                    y = entries[k][j]
-                    if not y.is_zero():
-                        acc = fms(acc, neg_x, y.raw)
-                row.append(acc)
-            product.append(row)
+        rows = idx[a]
+        product = [[full[i][j] for j in rows] for i in rows]
         phase = space.zeta_pow(d * a)
         if c is None:
             # c is pinned by the lowest occupied degree; later blocks are checked
@@ -392,37 +384,20 @@ def _triviality_factors(data: OmegaData):
     space = data.space
     n, deg, field = space.n, space.degrees, space.field
     kernel = field.kernel
-    mul, fms, is_zero, zero = kernel.mul, kernel.fms, kernel.is_zero, kernel.zero
+    mul, is_zero = kernel.mul, kernel.is_zero
     tilde_inv = omega_tilde(data).inverse()  # raises SingularMatrix when not invertible
 
-    def _sparse(m: Matrix, conj: bool = False):
-        # each row's entries that are not zero, as (column, raw value); the
-        # products skip the others, so they are never conjugated
-        return [[(t, (x.conj() if conj else x).raw) for t, x in enumerate(row)
-                 if not x.is_zero()] for row in m.entries]
+    def _phased(left, phases, right):
+        # (left @ diag(phases)) @ right, the phases multiplied into left's rows
+        return _product(kernel, [[(t, v) for t, x in row if not is_zero(v := mul(x, phases[t]))]
+                                 for row in left], right, n)
 
-    def _product(left, phases, right):
-        # (left @ diag(phases)) @ right, each entry formed as Matrix.__matmul__
-        # forms it: left factors negated, one fms per step in column order,
-        # zero factors skipped
-        out = []
-        for row in left:
-            out_row = [zero] * n
-            for t, x in row:
-                v = mul(x, phases[t])
-                if not is_zero(v):
-                    neg_v = (-Scalar(field, v)).raw
-                    for col, y in right[t]:
-                        out_row[col] = fms(out_row[col], neg_v, y)
-            out.append(out_row)
-        return out
-
-    omega, conj_omega = _sparse(data.omega), _sparse(data.omega, conj=True)
-    tinv, conj_tinv = _sparse(tilde_inv), _sparse(tilde_inv, conj=True)
-    a_by_degree = {a: _product(conj_omega, [space.zeta_pow(a * deg[t]).raw for t in range(n)],
-                               omega) for a in set(deg)}
-    b_by_degree = {a: _product(tinv, [space.zeta_pow(-deg[s] * a).raw for s in range(n)],
-                               conj_tinv) for a in set(deg)}
+    omega, conj_omega = data.omega._nonzero(), data.omega._nonzero(conj=True)
+    tinv, conj_tinv = tilde_inv._nonzero(), tilde_inv._nonzero(conj=True)
+    a_by_degree = {a: _phased(conj_omega, [space.zeta_pow(a * deg[t]).raw for t in range(n)],
+                              omega) for a in set(deg)}
+    b_by_degree = {a: _phased(tinv, [space.zeta_pow(-deg[s] * a).raw for s in range(n)],
+                              conj_tinv) for a in set(deg)}
     return [a_by_degree[a] for a in deg], [b_by_degree[a] for a in deg]
 
 

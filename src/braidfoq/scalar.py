@@ -1,12 +1,13 @@
 """Exact cyclotomic scalars, a floating complex fallback, and exact matrices.
 
 A scalar holds one raw value, and its field owns the one kernel that
-computes on raw values: mul, fms (p - x*y), is_zero, inverse, zero and one,
-and, for exact fields, the table of signed roots of unity (``units``).
-An exact scalar lives in Q(zeta_N); its raw value is the flat tuple
-(n_0, ..., n_{d-1}, den) of integer numerators, one per power-basis
-coordinate (reduced modulo the N-th cyclotomic polynomial), over one
-positive denominator.  The tuple is kept normalised, gcd(den, *num) == 1
+computes on raw values: mul, fms (p - x*y), neg, is_zero, inverse, zero and
+one, and, for exact fields, the table of signed roots of unity (``units``).
+Every matrix product of raw values, in ``Matrix`` and in ``graded``, is
+formed by this module's ``_product``.  An exact scalar lives in Q(zeta_N);
+its raw value is the flat tuple (n_0, ..., n_{d-1}, den) of integer
+numerators, one per power-basis coordinate (reduced modulo the N-th
+cyclotomic polynomial), over one positive denominator.  The tuple is kept normalised, gcd(den, *num) == 1
 and zero is (0, ..., 0, 1), so equality is a tuple comparison.  An approx
 scalar's raw value is a complex double, compared with an absolute
 tolerance.
@@ -121,11 +122,11 @@ class _CycloTable:
     """The kernel of Q(zeta_order): per-order reduction data and arithmetic
     on raw values, shared by all scalars of one field.
 
-    ``mul(x, y) = x * y``, ``fms(p, x, y) = p - x * y``, ``is_zero`` and
-    ``inverse`` take and return normalised raw tuples.  The power table and
-    the two compiled kernels extend lazily under a reentrant lock, so
-    scalars stay safe to share between threads and a kernel can read powers
-    it has not built yet.
+    ``mul(x, y) = x * y``, ``fms(p, x, y) = p - x * y``, ``neg(x) = -x``,
+    ``is_zero`` and ``inverse`` take and return normalised raw tuples.  The
+    power table and the compiled kernels extend lazily under a reentrant
+    lock, so scalars stay safe to share between threads and a kernel can
+    read powers it has not built yet.
     """
 
     def __init__(self, order: int):
@@ -201,6 +202,10 @@ class _CycloTable:
                 return _generated_kernel(self, name)
             return _loop_kernel(self)[name]
 
+    @staticmethod
+    def neg(x: tuple[int, ...]) -> tuple[int, ...]:
+        return (*map(_neg, x[:-1]), x[-1])
+
     def inverse(self, x: tuple[int, ...]) -> tuple[int, ...]:
         num, den = x[:-1], x[-1]
         support = [i for i, a in enumerate(num) if a]
@@ -226,7 +231,7 @@ class _ApproxKernel:
 
     zero, one = 0j, 1 + 0j
     units = None  # no exact roots of unity
-    mul = staticmethod(_mul)
+    mul, neg = staticmethod(_mul), staticmethod(_neg)
     conj = staticmethod(complex.conjugate)
 
     def __init__(self, tolerance: float):
@@ -363,7 +368,7 @@ def _table(order: int) -> _CycloTable:
 class Field:
     """Coefficient field specification: exact Q(zeta_N) or complex doubles."""
 
-    __slots__ = ("mode", "exact", "order", "tolerance", "kernel", "_roots", "_zero", "_one")
+    __slots__ = ("mode", "exact", "order", "tolerance", "kernel", "_zero", "_one")
 
     def __init__(self, mode: str, order: int | None = None, tolerance: float | None = None):
         if mode == "cyclo":
@@ -385,7 +390,6 @@ class Field:
             raise ValueError(f"unknown field mode {mode!r}")
         self.mode = mode
         self.exact = mode == "cyclo"
-        self._roots: list[Scalar] | None = None
         # scalars are immutable, so every caller can share these two
         self._zero = Scalar(self, self.kernel.zero)
         self._one = Scalar(self, self.kernel.one)
@@ -466,11 +470,6 @@ class Field:
             raise ValueError(f"expected {self.degree} coefficients, got {len(vec)}")
         den = math.lcm(*(q.denominator for q in vec))
         return Scalar(self, (*[q.numerator * (den // q.denominator) for q in vec], den))
-
-    def _all_roots(self) -> list["Scalar"]:
-        if self._roots is None:
-            self._roots = [self.root(k) for k in range(self.order)]
-        return self._roots
 
     # serialization ------------------------------------------------------
 
@@ -555,10 +554,7 @@ class Scalar:
                                          den * oden))
 
     def __neg__(self) -> "Scalar":
-        x = self.raw
-        if self.field.exact:
-            return Scalar(self.field, (*map(_neg, x[:-1]), x[-1]))
-        return Scalar(self.field, -x)
+        return Scalar(self.field, self.field.kernel.neg(self.raw))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         field = self.field
@@ -627,13 +623,8 @@ class Scalar:
         """k with self == zeta_N^k, or None when not a root of unity."""
         if not self.field.exact:
             return None
-        for k, root in enumerate(self.field._all_roots()):
-            if self == root:
-                return k
-        return None
-
-    def abs_squared(self) -> "Scalar":
-        return self * self.conj()
+        power = self.field.kernel.power
+        return next((k for k in range(self.field.order) if (*power(k), 1) == self.raw), None)
 
     def to_complex(self) -> complex:
         if not self.field.exact:
@@ -774,6 +765,24 @@ def sqrt_fraction(value: Fraction) -> Fraction | None:
     return None
 
 
+def _product(kernel, left, right, cols: int) -> list[list]:
+    """The raw rows of left @ right, ``cols`` wide, from the factors' rows as
+    ``Matrix._nonzero`` lists them, so zero factors are skipped.  Entry (i, j)
+    sums over ascending k, and each left factor is negated once so that every
+    step is one fms: from acc = +0, acc - (-a)*b equals acc + a*b bit for bit
+    in IEEE arithmetic too."""
+    neg, fms, zero = kernel.neg, kernel.fms, kernel.zero
+    out = []
+    for terms in left:
+        row = [zero] * cols
+        for k, a in terms:
+            a = neg(a)
+            for j, b in right[k]:
+                row[j] = fms(row[j], a, b)
+        out.append(row)
+    return out
+
+
 class Matrix:
     """Dense rectangular matrix over one Field; immutable."""
 
@@ -800,11 +809,6 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one(), field.zero()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        zero = field.zero()
-        return cls(field, [[zero] * cols for _ in range(rows)])
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
@@ -837,27 +841,21 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch in matrix product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        # from acc = +0, acc - (-a)*b equals acc + a*b bit for bit in IEEE
-        # arithmetic too, so the left factors are negated once and every step
-        # is one fms
         field = self.field
-        kernel = field.kernel
-        fms = kernel.fms
-        left = [[(k, (-a).raw) for k, a in enumerate(row) if not a.is_zero()]
+        product = _product(field.kernel, self._nonzero(), other._nonzero(), other.cols)
+        return Matrix(field, [[Scalar(field, v) for v in row] for row in product])
+
+    def _nonzero(self, conj: bool = False) -> list[list[tuple[int, object]]]:
+        """Each row's entries that are not zero as (column, raw value) pairs,
+        conjugated when ``conj`` is set: the operands of ``_product``."""
+        kernel = self.field.kernel
+        is_zero = kernel.is_zero
+        rows = [[(j, a.raw) for j, a in enumerate(row) if not is_zero(a.raw)]
                 for row in self.entries]
-        right = [[None if b.is_zero() else b.raw for b in row] for row in other.entries]
-        out = []
-        for terms in left:
-            row = []
-            for j in range(other.cols):
-                acc = kernel.zero
-                for k, neg_a in terms:
-                    b = right[k][j]
-                    if b is not None:
-                        acc = fms(acc, neg_a, b)
-                row.append(Scalar(field, acc))
-            out.append(row)
-        return Matrix(field, out)
+        if conj:
+            conj_raw = kernel.conj
+            rows = [[(j, conj_raw(v)) for j, v in row] for row in rows]
+        return rows
 
     def scale(self, scalar: Scalar) -> "Matrix":
         return Matrix(self.field, [[scalar * a for a in row] for row in self.entries])

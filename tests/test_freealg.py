@@ -243,6 +243,35 @@ def test_constant_is_obstructed(boson_e1):
     assert cert.verdict == "nonzero_constant_obstruction"
 
 
+def test_an_element_added_to_itself_doubles(boson_e1):
+    # in x + x each incoming coefficient is the very object already stored
+    ctx = boson_e1.context
+    two = ctx.field.from_int(2)
+    x = AlgebraElement.monomial(ctx, Word(0, (ctx.u(0, 1),))) + AlgebraElement.one(ctx)
+    assert x + x == x.scale(two)
+    assert (x + x) - x == x
+    pair = TensorElement.tensor(x, x)
+    assert pair + pair == pair.scale(two)
+
+
+def test_constant_is_not_obstructed_without_a_counit_witness(boson_e1):
+    # x^3 - 1 and x^3 - 2 put 1 in the ideal, and the counit, which sends
+    # x = U(0,0) to 1, does not kill x^3 - 2; below bound 3 the truncated
+    # span only shows that 1 is a constant modulo it
+    ctx = boson_e1.context
+    x = AlgebraElement.monomial(ctx, Word(0, (ctx.u(0, 0),)))
+    one = AlgebraElement.one(ctx)
+    cube = x * x * x
+    relations = [cube - one, cube - one.scale(ctx.field.from_int(2))]
+    for bound in (1, 2):
+        assert ideal_membership(one, relations, bound).verdict == "undecided_at_bound"
+        pair = TensorElement.one(ctx)
+        assert ideal_membership(pair, relations, bound).verdict == "undecided_at_bound"
+    cert = ideal_membership(one, relations, 3)
+    assert cert.verdict == "in_ideal"
+    assert cert.replay(relations, ctx) == one
+
+
 def test_random_two_sided_multiples_are_members(boson_e1):
     ctx = boson_e1.context
     rng = random.Random(7)

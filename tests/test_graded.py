@@ -5,7 +5,9 @@ import pytest
 from braidfoq import (Field, GradedSpace, Infeasible, Matrix, OmegaData, Scalar,
                       SingularMatrix, f_matrix, irreducibility_test, omega_tilde,
                       solve_omega, triviality_lhs, triviality_scan, validate)
-from braidfoq.sampling import mutate_one_entry, random_valid_instance
+from braidfoq.sampling import (mutate_one_entry, random_invertible_matrix,
+                               random_valid_instance)
+from conftest import zeros
 
 
 def test_identity_instance_validates(e0, f8):
@@ -33,7 +35,7 @@ def test_e1_broken_by_inconsistent_block(e1, f8):
 
 def test_all_zero_omega_is_singular(f8):
     space = GradedSpace(n=2, degrees=(0, 0), zeta=f8.one(), field=f8)
-    data = OmegaData(space=space, omega=Matrix.zeros(f8, 2, 2), d=0)
+    data = OmegaData(space=space, omega=zeros(f8, 2, 2), d=0)
     report = validate(data)
     assert not report.holds
     assert report.reason == "singular"
@@ -142,7 +144,7 @@ def test_irreducibility_examples(e0, e1, f8):
 def test_irreducibility_requires_invertible(f8):
     space = GradedSpace(n=2, degrees=(0, 0), zeta=f8.one(), field=f8)
     with pytest.raises(SingularMatrix):
-        irreducibility_test(space, Matrix.zeros(f8, 2, 2), 0)
+        irreducibility_test(space, zeros(f8, 2, 2), 0)
 
 
 def test_f_matrix_examples(e0, e1, e2, f8):
@@ -310,7 +312,7 @@ def _reference_validate(data):
         lower = data.block(d - a, a)
         size = len(idx[a])
         if upper is None or lower is None:
-            product = Matrix.zeros(space.field, size, size)
+            product = zeros(space.field, size, size)
         else:
             product = upper.conj() @ lower
         phase = space.zeta_pow(d * a)
@@ -428,6 +430,135 @@ def test_triviality_factors_match_diagonal_products():
                 repr(b.raw) for row in expected.entries for b in row]
 
 
+def _naive_product(x_rows, y_rows):
+    """x @ y by the schoolbook loop in Scalar arithmetic: each entry is
+    zero + a*b + ... over ascending k, skipping zero factors."""
+    out = []
+    for x_row in x_rows:
+        row = []
+        for j in range(len(y_rows[0])):
+            acc = x_row[0].field.zero()
+            for k, a in enumerate(x_row):
+                b = y_rows[k][j]
+                if not a.is_zero() and not b.is_zero():
+                    acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _naive_residuals(data):
+    """validate's residual blocks from the naive conj(omega) @ omega: a
+    block read before c is pinned is the product itself, and every later
+    block is product - c * zeta^(d*a) * I."""
+    space, d = data.space, data.d
+    one, zero = space.field.one(), space.field.zero()
+    omega = data.omega.entries
+    full = _naive_product([[a.conj() for a in row] for row in omega], omega)
+    c, residuals = None, {}
+    for a, rows in sorted(space.degree_indices().items()):
+        block = [[full[i][j] for j in rows] for i in rows]
+        phase = space.zeta_pow(d * a)
+        if c is None:
+            lam = block[0][0]
+            if not all((p - lam if i == j else p).is_zero()
+                       for i, row in enumerate(block) for j, p in enumerate(row)):
+                residuals[a] = block
+                continue
+            if (lam / phase).is_zero():
+                residuals[a] = block
+                continue
+            c = lam / phase
+        residuals[a] = [[p - (c * phase) * (one if i == j else zero) for j, p in enumerate(row)]
+                        for i, row in enumerate(block)]
+    return residuals
+
+
+def _naive_factors(data):
+    """_triviality_factors' A_j and B_i from naive products, the diagonal
+    phases multiplied into the left factor's entries."""
+    space = data.space
+    n, deg = space.n, space.degrees
+    omega = data.omega.entries
+    tilde_inv = omega_tilde(data).inverse().entries
+    conj_omega = [[a.conj() for a in row] for row in omega]
+    conj_tinv = [[a.conj() for a in row] for row in tilde_inv]
+    a_rows = [_naive_product([[row[t] * space.zeta_pow(deg[j] * deg[t]) for t in range(n)]
+                              for row in conj_omega], omega) for j in range(n)]
+    b_rows = [_naive_product([[row[s] * space.zeta_pow(-deg[s] * deg[i]) for s in range(n)]
+                              for row in tilde_inv], conj_tinv) for i in range(n)]
+    return a_rows, b_rows
+
+
+def _bits(rows):
+    return [[repr(a.raw if isinstance(a, Scalar) else a) for a in row] for row in rows]
+
+
+def _with_signed_zeros(data):
+    """An approx copy whose real and imaginary parts below 1e-15 in size are
+    -0.0, so that products and sums meet signed zeros."""
+    field = Field.approx(1e-9)
+
+    def signed(z):
+        return field.from_complex(complex(*(-0.0 if abs(t) < 1e-15 else t
+                                            for t in (z.real, z.imag))))
+
+    space = data.space
+    approx_space = GradedSpace(n=space.n, degrees=space.degrees,
+                               zeta=signed(space.zeta.to_complex()), field=field)
+    omega = Matrix(field, [[signed(a.to_complex()) for a in row] for row in data.omega.entries])
+    return OmegaData(space=approx_space, omega=omega, d=data.d)
+
+
+def _product_owner_cases(orders, seed):
+    """Random valid instances and their mutants, with one instance per order
+    whose dense 3x3 blocks make each product entry a sum of three terms."""
+    rng = random.Random(seed)
+    cases = []
+    for order in orders:
+        field = Field.cyclotomic(order)
+        wide = GradedSpace(n=6, degrees=(0, 0, 0, 1, 1, 1), zeta=field.root(1), field=field)
+        dense = solve_omega(wide, 1, {0: random_invertible_matrix(rng, field, 3)})
+        for inst in [dense, *(random_valid_instance(rng, n=n, order=order) for n in (2, 3, 4))]:
+            cases.append(inst)
+            mutant = mutate_one_entry(rng, inst)
+            if mutant is not None:
+                cases.append(mutant)
+    return cases
+
+
+def _assert_products_match_naive_loops(data):
+    omega = data.omega
+    for x, y in ((omega.conj(), omega), (omega, omega.conj_transpose()),
+                 (omega_tilde(data), omega)):
+        assert _bits((x @ y).entries) == _bits(_naive_product(x.entries, y.entries))
+    residuals = validate(data).block_residuals
+    expected = _naive_residuals(data)
+    assert sorted(residuals) == sorted(expected)
+    for a, block in expected.items():
+        assert _bits(residuals[a].entries) == _bits(block)
+    from braidfoq.graded import _triviality_factors
+
+    got, want = _triviality_factors(data), _naive_factors(data)
+    for got_family, want_family in zip(got, want):
+        assert [_bits(m) for m in got_family] == [_bits(m) for m in want_family]
+
+
+def test_approx_products_match_naive_loops_with_signed_zeros(e0, e1, e2):
+    cases = [_with_signed_zeros(data)
+             for data in (e0, e1, e2, *_product_owner_cases((4, 8, 12), seed=21))]
+    signed = [t for data in cases for row in data.omega.entries for a in row
+              for t in (a.raw.real, a.raw.imag) if str(t) == "-0.0"]
+    assert signed, "the cases must carry signed zeros"
+    for data in cases:
+        _assert_products_match_naive_loops(data)
+
+
+def test_exact_products_match_naive_loops():
+    for data in _product_owner_cases((5, 12, 24), seed=22):
+        _assert_products_match_naive_loops(data)
+
+
 @pytest.mark.parametrize("field, zeta", [
     (Field.cyclotomic(8), lambda f: f.from_int(2)),
     (Field.approx(), lambda f: f.from_complex(1.5)),
@@ -470,6 +601,6 @@ def test_validate_reports_each_instance_once(f8):
         if mutant is not None:
             assert validate(mutant) is not report
             assert validate(mutant) is validate(mutant)
-    broken = OmegaData(space=inst.space, omega=Matrix.zeros(inst.space.field, inst.space.n,
-                                                            inst.space.n), d=inst.d)
+    broken = OmegaData(space=inst.space, omega=zeros(inst.space.field, inst.space.n,
+                                                     inst.space.n), d=inst.d)
     assert validate(broken) is validate(broken) and not validate(broken).holds

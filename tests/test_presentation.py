@@ -12,6 +12,7 @@ from braidfoq.freealg import AlgebraElement, TensorElement
 from braidfoq.presentation import (aof_to_tform_morphism, apply_morphism,
                                    check_morphism, substitute_t_generators)
 from braidfoq.sampling import random_valid_instance
+from conftest import zeros
 
 
 def _letter(ctx, sym):
@@ -136,7 +137,7 @@ def test_aof_antisymmetric_matrix_relation(f8):
 
 def test_aof_rejects_singular(f8):
     with pytest.raises(ValueError):
-        aof_presentation(Matrix.zeros(f8, 2, 2))
+        aof_presentation(zeros(f8, 2, 2))
 
 
 def test_projection_morphisms(e1):

@@ -172,6 +172,22 @@ def test_as_root_exponent(f8):
     assert (f8.root(1) + f8.one()).as_root_exponent() is None
 
 
+@pytest.mark.parametrize("order", [1, 5, 8, 15, 24])
+def test_as_root_exponent_inverts_root(order):
+    field = Field.cyclotomic(order)
+    assert [field.root(k).as_root_exponent() for k in range(order)] == list(range(order))
+    assert field.root(-1).as_root_exponent() == order - 1
+    half = field.from_rational(Fraction(1, 2))
+    non_roots = [field.zero(), field.from_int(2), field.root(1) + field.one(),
+                 *(half * field.root(k) for k in range(order))]
+    if order % 2:
+        # -zeta_N^k is a 2N-th root of unity, not an N-th one
+        non_roots += [-field.root(k) for k in range(order)]
+    else:
+        assert (-field.one()).as_root_exponent() == order // 2
+    assert all(x.as_root_exponent() is None for x in non_roots)
+
+
 def test_approx_matrix_inverse():
     field = Field.approx(1e-10)
     m = Matrix(field, [[field.from_complex(1 + 1j), field.from_complex(2)],
