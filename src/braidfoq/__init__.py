@@ -8,12 +8,12 @@ from .transform import ReductionTrace, degree_shift, double_cover, reduce_to_deg
 from .freealg import (AlgebraContext, AlgebraElement, GeneratorSym,
                       MembershipCertificate, TensorElement, Word, apply_comult,
                       coassociativity_check, expand_three_legs, ideal_membership,
-                      intertwiner_check, normal_form, well_definedness_check)
+                      normal_form, well_definedness_check)
 from .presentation import (MorphismSpec, Presentation, aof_presentation,
                            aof_to_tform_morphism, apply_morphism,
                            bosonisation_presentation, braided_presentation,
                            check_morphism, circle_presentation,
-                           deserialize_presentation, projection_morphisms,
+                           deserialize_presentation, intertwiner_check, projection_morphisms,
                            serialize_presentation, substitute_t_generators,
                            t_form_presentation)
 from .fusion import (FusionContext, FusionDecomposition, IrrepLabel, conj_label, dim,

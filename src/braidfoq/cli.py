@@ -12,12 +12,12 @@ import os
 import sys
 from fractions import Fraction
 
-from .freealg import DEFAULT_ROW_CAP, _intertwiner_holds, _unreplayed, \
-    coassociativity_check, well_definedness_check
+from .freealg import DEFAULT_ROW_CAP, _unreplayed, coassociativity_check, \
+    well_definedness_check
 from .fusion import FusionContext, IrrepLabel, dim, fuse, q_parameter
 from .graded import GradedSpace, OmegaData, f_matrix, irreducibility_test, solve_omega, \
     triviality_scan, validate
-from .presentation import aof_presentation, bosonisation_presentation, \
+from .presentation import _intertwiner_holds, aof_presentation, bosonisation_presentation, \
     braided_presentation, deserialize_presentation, serialize_presentation, \
     t_form_presentation
 from .scalar import Field, Matrix, Scalar

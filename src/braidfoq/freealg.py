@@ -20,6 +20,7 @@ first use).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from operator import itemgetter
 
 from .scalar import Field, FieldMismatch, PhasePowers, Scalar
 
@@ -35,7 +36,6 @@ __all__ = [
     "coassociativity_check",
     "expand_three_legs",
     "ideal_membership",
-    "intertwiner_check",
     "normal_form",
     "well_definedness_check",
 ]
@@ -304,8 +304,10 @@ class _Combination:
 
     A term key is a ``Word`` for algebra elements and a tuple of leg
     ``Word``s for tensor elements.  Zero coefficients are never stored.
-    Subclasses supply ``_like`` (a combination of the same kind on new
-    terms) and ``_space`` (what two operands must share).
+    Subclasses supply ``_legs`` (a key's leg words), ``_key`` (the key of a
+    list of leg words), ``_like`` (a combination of the same kind on new
+    terms) and ``_space`` (what two operands must share); the arithmetic,
+    term order and size measures here act on leg words alone.
     """
 
     __slots__ = ("context", "terms")
@@ -341,6 +343,43 @@ class _Combination:
     def __neg__(self):
         return self._sum((key, -c) for key, c in self.terms.items())
 
+    def _product(self, other):
+        """Legwise product; braiding phases already live in the z-bookkeeping.
+        Each coefficient is (ca * cb) times the legs' phases, left to right.
+        Subclasses bind it as their own ``__mul__``, which the benchmark's
+        tracer wraps class by class."""
+        self._check(other)
+        context, legs, key = self.context, self._legs, self._key
+        theirs = [(legs(kb), cb) for kb, cb in other.terms.items()]
+
+        def products():
+            for ka, ca in self.terms.items():
+                mine = legs(ka)
+                for wbs, cb in theirs:
+                    coeff = ca * cb
+                    words = []
+                    for a, b in zip(mine, wbs):
+                        phase, word = _word_mul(context, a, b)
+                        coeff = coeff * phase
+                        words.append(word)
+                    yield key(words), coeff
+        return self._sum(products())
+
+    def adjoint(self):
+        """Legwise adjoint: each coefficient is conj(c) times the legs' phases."""
+        context, legs, key = self.context, self._legs, self._key
+
+        def adjoints():
+            for k, c in self.terms.items():
+                coeff = c.conj()
+                words = []
+                for w in legs(k):
+                    phase, word = _word_adjoint(context, w)
+                    coeff = coeff * phase
+                    words.append(word)
+                yield key(words), coeff
+        return self._sum(adjoints())
+
     def scale(self, coeff: Scalar):
         if coeff.is_zero():
             return self._like({})
@@ -348,6 +387,19 @@ class _Combination:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def max_word_length(self) -> int:
+        """The longest leg word's letter count (0 when zero)."""
+        return max((len(w) for k in self.terms for w in self._legs(k)), default=0)
+
+    def max_abs_zexp(self) -> int:
+        """The largest |z-exponent| of a leg word (0 when zero)."""
+        return max((abs(w.zexp) for k in self.terms for w in self._legs(k)), default=0)
+
+    def sorted_terms(self) -> list:
+        """The (key, coefficient) pairs in the canonical order of leg-word keys."""
+        legs = self._legs
+        return sorted(self.terms.items(), key=lambda item: tuple(map(Word.key, legs(item[0]))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -371,17 +423,19 @@ class _Combination:
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
-        parts = []
-        for key, c in self.sorted_terms():
-            legs = (key,) if isinstance(key, Word) else key
-            parts.append(f"({c!r})*" + " (x) ".join(w.display() for w in legs))
-        return " + ".join(parts)
+        return " + ".join(f"({c!r})*" + " (x) ".join(w.display() for w in self._legs(key))
+                          for key, c in self.sorted_terms())
 
 
 class AlgebraElement(_Combination):
     """Finite scalar combination of normal-form words; canonical storage."""
 
     __slots__ = ()
+
+    __mul__ = _Combination._product
+    # a term key is a single Word, the element's one leg
+    _legs = staticmethod(lambda word: (word,))
+    _key = staticmethod(itemgetter(0))
 
     def _like(self, terms: dict) -> "AlgebraElement":
         return AlgebraElement(self.context, terms)
@@ -416,26 +470,6 @@ class AlgebraElement(_Combination):
         c = phase if coeff is None else phase * coeff
         return cls(context, {word: c})
 
-    # arithmetic ----------------------------------------------------------
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        context = self.context
-
-        def products():
-            for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    phase, word = _word_mul(context, wa, wb)
-                    yield word, ca * cb * phase
-        return self._sum(products())
-
-    def adjoint(self) -> "AlgebraElement":
-        def adjoints():
-            for w, c in self.terms.items():
-                phase, word = _word_adjoint(self.context, w)
-                yield word, c.conj() * phase
-        return self._sum(adjoints())
-
     # predicates ----------------------------------------------------------
 
     def beta_degree(self) -> int | None:
@@ -448,15 +482,6 @@ class AlgebraElement(_Combination):
             elif degree != g:
                 return None
         return degree
-
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def max_abs_zexp(self) -> int:
-        return max((abs(w.zexp) for w in self.terms), default=0)
-
-    def sorted_terms(self) -> list[tuple[Word, Scalar]]:
-        return sorted(self.terms.items(), key=lambda item: item[0].key())
 
     def strip_unit_factors(self) -> "AlgebraElement":
         """Cancel a common right z-power and normalize the leading coefficient."""
@@ -485,6 +510,10 @@ class TensorElement(_Combination):
     """Scalar combination of 2- or 3-leg word tuples, each leg normalized."""
 
     __slots__ = ("legs",)
+
+    __mul__ = _Combination._product
+    # a term key is the tuple of leg words, and tuple() returns a tuple as is
+    _legs = _key = staticmethod(tuple)
 
     def __init__(self, context: AlgebraContext, legs: int,
                  terms: dict[tuple[Word, ...], Scalar] | None = None):
@@ -521,43 +550,6 @@ class TensorElement(_Combination):
                 yield from _extend(prefix + (w,), coeff * c, rest[1:])
 
         return cls(context, len(factors))._sum(_extend((), context.field.one(), list(factors)))
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        """Legwise product; braiding phases already live in the z-bookkeeping."""
-        self._check(other)
-
-        def products():
-            for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    coeff = ca * cb
-                    words = []
-                    for a, b in zip(wa, wb):
-                        phase, word = _word_mul(self.context, a, b)
-                        coeff = coeff * phase
-                        words.append(word)
-                    yield tuple(words), coeff
-        return self._sum(products())
-
-    def adjoint(self) -> "TensorElement":
-        def adjoints():
-            for ws, c in self.terms.items():
-                coeff = c.conj()
-                words = []
-                for w in ws:
-                    phase, word = _word_adjoint(self.context, w)
-                    coeff = coeff * phase
-                    words.append(word)
-                yield tuple(words), coeff
-        return self._sum(adjoints())
-
-    def max_leg_length(self) -> int:
-        return max((len(w) for ws in self.terms for w in ws), default=0)
-
-    def max_leg_zexp(self) -> int:
-        return max((abs(w.zexp) for ws in self.terms for w in ws), default=0)
-
-    def sorted_terms(self) -> list[tuple[tuple[Word, ...], Scalar]]:
-        return sorted(self.terms.items(), key=lambda item: tuple(w.key() for w in item[0]))
 
     def to_json(self) -> list:
         return [[c.to_json(), [w.to_json() for w in ws]] for ws, c in self.sorted_terms()]
@@ -755,12 +747,13 @@ def ideal_membership(target, relations, degree_bound: int, *,
     """
     from ._certifier import IdealCertifier
 
-    tensor = isinstance(target, TensorElement)
-    if (target.max_leg_length() if tensor else target.max_word_length()) > degree_bound:
+    if target.max_word_length() > degree_bound:
         raise ValueError("degree_bound is below the target's word degree")
     certifier = IdealCertifier(target.context, relations, degree_bound,
                                row_cap=row_cap, workers=workers)
-    return certifier.certify_tensor(target) if tensor else certifier.certify_element(target)
+    if isinstance(target, TensorElement):
+        return certifier.certify_tensor(target)
+    return certifier.certify_element(target)
 
 
 def well_definedness_check(presentation, degree_bound: int, *,
@@ -781,8 +774,8 @@ def well_definedness_check(presentation, degree_bound: int, *,
             cert = MembershipCertificate("in_ideal", degree_bound)
         else:
             target = _comult(rel, presentation, images)
-            if (target.max_leg_length() > degree_bound
-                    or target.max_leg_zexp() > degree_bound
+            if (target.max_word_length() > degree_bound
+                    or target.max_abs_zexp() > degree_bound
                     or rel.max_word_length() > degree_bound
                     or rel.max_abs_zexp() > degree_bound):
                 cert = MembershipCertificate("undecided_at_bound", degree_bound)
@@ -807,34 +800,3 @@ def _unreplayed(presentation, report: dict) -> list[str]:
             if record["verdict"] == "in_ideal"
             and record["certificate"].replay(presentation.relations, presentation.context,
                                              legs=2) != _comult(rel, presentation, images)]
-
-
-def intertwiner_check(data, f_override=None) -> bool:
-    """Verify t*F = z^d*F*conj(t) entrywise against the generated relations.
-
-    ``f_override`` substitutes a candidate matrix for the derived F, which
-    is how mutation tests confirm the identity pins F.
-    """
-    from .graded import f_matrix
-    from .presentation import t_form_presentation
-
-    F = f_matrix(data) if f_override is None else f_override
-    return _intertwiner_holds(t_form_presentation(data), data.d, F)
-
-
-def _intertwiner_holds(presentation, d: int, F) -> bool:
-    """t*F = z^d*F*conj(t) against a t-form presentation's relations
-    ``invariance(j,i)``; a missing one raises KeyError."""
-    from .presentation import _linear_form
-
-    context = presentation.context
-    n = context.n
-    zd = AlgebraElement.monomial(context, Word(d, ()))
-    relations = dict(zip(presentation.relation_labels, presentation.relations))
-    for j in range(n):
-        for i in range(n):
-            lhs = _linear_form(context, ((F[k, i], context.x(j, k)) for k in range(n)))
-            rhs = _linear_form(context, ((F[j, k], context.xstar(k, i)) for k in range(n)))
-            if lhs - zd * rhs != relations[f"invariance({j},{i})"]:
-                return False
-    return True

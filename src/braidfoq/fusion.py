@@ -135,6 +135,8 @@ def ring_checks(ctx: FusionContext, bound: int) -> dict:
     anti-compatibility, dimension multiplicativity, and parity closure.
     Any violation is reported with its witness.
     """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     labels = [IrrepLabel(k, l) for k in range(bound + 1)
               for l in range(-bound, bound + 1)
               if IrrepLabel(k, l).valid_in(ctx)]

@@ -1,6 +1,7 @@
 """Universal presentations: the braided algebra, its bosonisation, the
-t-generator form, the classical one-matrix family, and the projection
-morphisms between the bosonisation and the circle algebra."""
+t-generator form and its intertwiner check, the classical one-matrix
+family, and the projection morphisms between the bosonisation and the
+circle algebra."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ __all__ = [
     "check_morphism",
     "circle_presentation",
     "deserialize_presentation",
+    "intertwiner_check",
     "projection_morphisms",
     "serialize_presentation",
     "substitute_t_generators",
@@ -225,6 +227,34 @@ def t_form_presentation(data: OmegaData) -> Presentation:
                         generators=_matrix_letters(context, context.x) + (zgen,),
                         relations=tuple(relations), relation_labels=tuple(labels),
                         comult=comult, meta=data)
+
+
+def intertwiner_check(data: OmegaData, f_override: Matrix | None = None) -> bool:
+    """Verify t*F = z^d*F*conj(t) entrywise against the generated relations.
+
+    ``f_override`` substitutes a candidate matrix for the derived F, which
+    is how mutation tests confirm the identity pins F.  The t-form builds
+    its invariance family from omega, not from F, so the check compares
+    two constructions.
+    """
+    F = f_matrix(data) if f_override is None else f_override
+    return _intertwiner_holds(t_form_presentation(data), data.d, F)
+
+
+def _intertwiner_holds(presentation: Presentation, d: int, F: Matrix) -> bool:
+    """t*F = z^d*F*conj(t) against a t-form presentation's relations
+    ``invariance(j,i)``; a missing one raises KeyError."""
+    context = presentation.context
+    n = context.n
+    zd = AlgebraElement.monomial(context, Word(d, ()))
+    relations = dict(zip(presentation.relation_labels, presentation.relations))
+    for j in range(n):
+        for i in range(n):
+            lhs = _linear_form(context, ((F[k, i], context.x(j, k)) for k in range(n)))
+            rhs = _linear_form(context, ((F[j, k], context.xstar(k, i)) for k in range(n)))
+            if lhs - zd * rhs != relations[f"invariance({j},{i})"]:
+                return False
+    return True
 
 
 def aof_presentation(F: Matrix, zeta: Scalar | None = None) -> Presentation:

@@ -1,16 +1,16 @@
 """Exact cyclotomic scalars, a floating complex fallback, and exact matrices.
 
 A scalar holds one raw value, and its field owns the one kernel that
-computes on raw values: mul, fms (p - x*y), neg, is_zero, inverse, zero and
-one, and, for exact fields, the table of signed roots of unity (``units``).
-Every matrix product of raw values, in ``Matrix`` and in ``graded``, is
-formed by this module's ``_product``.  An exact scalar lives in Q(zeta_N);
-its raw value is the flat tuple (n_0, ..., n_{d-1}, den) of integer
-numerators, one per power-basis coordinate (reduced modulo the N-th
-cyclotomic polynomial), over one positive denominator.  The tuple is kept normalised, gcd(den, *num) == 1
-and zero is (0, ..., 0, 1), so equality is a tuple comparison.  An approx
-scalar's raw value is a complex double, compared with an absolute
-tolerance.
+computes on raw values: add, sub, mul, fms (p - x*y), neg, is_zero,
+inverse, zero and one, and, for exact fields, the table of signed roots of
+unity (``units``).  Every matrix product of raw values, in ``Matrix`` and
+in ``graded``, is formed by this module's ``_product``.  An exact scalar
+lives in Q(zeta_N); its raw value is the flat tuple (n_0, ..., n_{d-1},
+den) of integer numerators, one per power-basis coordinate (reduced modulo
+the N-th cyclotomic polynomial), over one positive denominator.  The tuple
+is kept normalised, gcd(den, *num) == 1 and zero is (0, ..., 0, 1), so
+equality is a tuple comparison.  An approx scalar's raw value is a complex
+double, compared with an absolute tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import cmath
 import math
 import threading
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
 
 __all__ = [
@@ -118,12 +118,24 @@ def _poly_inverse(num, modulus: list[int]) -> tuple[list[int], int]:
     return s1, r1[0]
 
 
+def _combined(op, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The raw value x op y for op + or -: over a shared denominator the
+    numerators combine as they are, else each is scaled by the other's."""
+    den, oden = x[-1], y[-1]
+    if den == oden:
+        if den == 1:
+            return (*map(op, x[:-1], y), 1)
+        return _normalised(list(map(op, x[:-1], y)), den)
+    return _normalised([op(a * oden, b * den) for a, b in zip(x[:-1], y)], den * oden)
+
+
 class _CycloTable:
     """The kernel of Q(zeta_order): per-order reduction data and arithmetic
     on raw values, shared by all scalars of one field.
 
-    ``mul(x, y) = x * y``, ``fms(p, x, y) = p - x * y``, ``neg(x) = -x``,
-    ``is_zero`` and ``inverse`` take and return normalised raw tuples.  The
+    ``add(x, y) = x + y``, ``sub(x, y) = x - y``, ``mul(x, y) = x * y``,
+    ``fms(p, x, y) = p - x * y``, ``neg(x) = -x``, ``is_zero`` and
+    ``inverse`` take and return normalised raw tuples.  The
     power table and the compiled kernels extend lazily under a reentrant
     lock, so scalars stay safe to share between threads and a kernel can
     read powers it has not built yet.
@@ -206,6 +218,8 @@ class _CycloTable:
     def neg(x: tuple[int, ...]) -> tuple[int, ...]:
         return (*map(_neg, x[:-1]), x[-1])
 
+    add, sub = partial(_combined, _add), partial(_combined, _sub)
+
     def inverse(self, x: tuple[int, ...]) -> tuple[int, ...]:
         num, den = x[:-1], x[-1]
         support = [i for i, a in enumerate(num) if a]
@@ -231,6 +245,7 @@ class _ApproxKernel:
 
     zero, one = 0j, 1 + 0j
     units = None  # no exact roots of unity
+    add, sub = staticmethod(_add), staticmethod(_sub)
     mul, neg = staticmethod(_mul), staticmethod(_neg)
     conj = staticmethod(complex.conjugate)
 
@@ -527,31 +542,13 @@ class Scalar:
         field = self.field
         if type(other) is not Scalar or other.field is not field:
             self._check(other)
-        x, y = self.raw, other.raw
-        if not field.exact:
-            return Scalar(field, x + y)
-        den, oden = x[-1], y[-1]
-        if den == oden:
-            if den == 1:
-                return Scalar(field, (*map(_add, x[:-1], y), 1))
-            return Scalar(field, _normalised(list(map(_add, x[:-1], y)), den))
-        return Scalar(field, _normalised([a * oden + b * den for a, b in zip(x[:-1], y)],
-                                         den * oden))
+        return Scalar(field, field.kernel.add(self.raw, other.raw))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         field = self.field
         if type(other) is not Scalar or other.field is not field:
             self._check(other)
-        x, y = self.raw, other.raw
-        if not field.exact:
-            return Scalar(field, x - y)
-        den, oden = x[-1], y[-1]
-        if den == oden:
-            if den == 1:
-                return Scalar(field, (*map(_sub, x[:-1], y), 1))
-            return Scalar(field, _normalised(list(map(_sub, x[:-1], y)), den))
-        return Scalar(field, _normalised([a * oden - b * den for a, b in zip(x[:-1], y)],
-                                         den * oden))
+        return Scalar(field, field.kernel.sub(self.raw, other.raw))
 
     def __neg__(self) -> "Scalar":
         return Scalar(self.field, self.field.kernel.neg(self.raw))
@@ -842,6 +839,8 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch in matrix product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         field = self.field
+        if other.field is not field and other.field != field:
+            raise FieldMismatch(f"field mismatch: {field} vs {other.field}")
         product = _product(field.kernel, self._nonzero(), other._nonzero(), other.cols)
         return Matrix(field, [[Scalar(field, v) for v in row] for row in product])
 

@@ -12,13 +12,12 @@ import random
 from dataclasses import dataclass
 
 from .freealg import DEFAULT_ROW_CAP, AlgebraElement, TensorElement, Word, _unreplayed, \
-    apply_comult, coassociativity_check, expand_three_legs, intertwiner_check, \
-    well_definedness_check
+    apply_comult, coassociativity_check, expand_three_legs, well_definedness_check
 from .fusion import FusionContext, IrrepLabel, fuse, q_parameter, ring_checks, \
     su_q2_reference_instance
 from .graded import GradedSpace, OmegaData, f_matrix, irreducibility_test, \
     triviality_scan, validate
-from .presentation import bosonisation_presentation, braided_presentation
+from .presentation import bosonisation_presentation, braided_presentation, intertwiner_check
 from .sampling import mutate_one_entry, random_homogeneous_invertible, \
     random_valid_instance
 from .scalar import Field, Matrix

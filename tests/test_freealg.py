@@ -9,7 +9,8 @@ from braidfoq import (Matrix, Scalar, apply_comult, bosonisation_presentation,
                       expand_three_legs, f_matrix, ideal_membership,
                       intertwiner_check, normal_form, t_form_presentation,
                       well_definedness_check)
-from braidfoq.freealg import AlgebraElement, GeneratorSym, TensorElement, Word
+from braidfoq.freealg import (AlgebraElement, GeneratorSym, TensorElement, Word, _word_adjoint,
+                              _word_mul)
 from braidfoq.presentation import Presentation
 
 
@@ -495,7 +496,7 @@ def test_tensor_membership_matches_brute_force_oracle(e1):
             # a random element, almost surely not a member
             target = TensorElement(ctx, 2, {
                 (random_monomial(), random_monomial()): ctx.field.root(rng.randrange(8))})
-        if target.is_zero() or target.max_leg_length() > bound or target.max_leg_zexp() > bound:
+        if target.is_zero() or target.max_word_length() > bound or target.max_abs_zexp() > bound:
             continue
         verdict = certifier.certify_tensor(target)
         oracle = _brute_force_tensor_membership(target, relations, bound, ctx, alphabet)
@@ -1150,3 +1151,117 @@ def test_combinations_from_different_contexts_are_unequal(boson_e1, e2):
         with pytest.raises(FieldMismatch):
             a - b
     assert AlgebraElement.one(ctx) != TensorElement.one(ctx)
+
+
+# -- one legwise arithmetic against the per-class loops it replaced ------------
+
+
+def _ref_algebra_mul(x, y):
+    def products():
+        for wa, ca in x.terms.items():
+            for wb, cb in y.terms.items():
+                phase, word = _word_mul(x.context, wa, wb)
+                yield word, ca * cb * phase
+    return x._sum(products())
+
+
+def _ref_algebra_adjoint(x):
+    def adjoints():
+        for w, c in x.terms.items():
+            phase, word = _word_adjoint(x.context, w)
+            yield word, c.conj() * phase
+    return x._sum(adjoints())
+
+
+def _ref_tensor_mul(x, y):
+    def products():
+        for wa, ca in x.terms.items():
+            for wb, cb in y.terms.items():
+                coeff = ca * cb
+                words = []
+                for a, b in zip(wa, wb):
+                    phase, word = _word_mul(x.context, a, b)
+                    coeff = coeff * phase
+                    words.append(word)
+                yield tuple(words), coeff
+    return x._sum(products())
+
+
+def _ref_tensor_adjoint(x):
+    def adjoints():
+        for ws, c in x.terms.items():
+            coeff = c.conj()
+            words = []
+            for w in ws:
+                phase, word = _word_adjoint(x.context, w)
+                coeff = coeff * phase
+                words.append(word)
+            yield tuple(words), coeff
+    return x._sum(adjoints())
+
+
+def _ref_sorted_terms(x):
+    if isinstance(x, TensorElement):
+        return sorted(x.terms.items(), key=lambda item: tuple(w.key() for w in item[0]))
+    return sorted(x.terms.items(), key=lambda item: item[0].key())
+
+
+def _signed_zero_copy(element, actx):
+    """``element`` over the approx context ``actx``; on every other term a
+    zero real or imaginary part is -0.0, so the coefficient order shows."""
+    terms = {}
+    for index, (key, c) in enumerate(element.terms.items()):
+        value = c.to_complex()
+        if index % 2:
+            value = complex(value.real or -0.0, value.imag or -0.0)
+        terms[key] = actx.field.from_complex(value)
+    if isinstance(element, TensorElement):
+        return TensorElement(actx, element.legs, terms)
+    return AlgebraElement(actx, terms)
+
+
+@pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+def test_legwise_arithmetic_matches_the_per_class_loops(boson_e1, approx):
+    ctx = boson_e1.context
+    # unitarity and invariance relations, real and non-real coefficients
+    ones = [r for r in boson_e1.relations if not r.is_zero()][::3]
+    twos = [apply_comult(r, boson_e1) for r in ones[:4]]
+    threes = [expand_three_legs(t, boson_e1, leg) for t in twos[:2] for leg in (0, 1)]
+    if approx:
+        actx = _approx_image(ctx, [])[0]
+        ones, twos, threes = ([_signed_zero_copy(x, actx) for x in group]
+                              for group in (ones, twos, threes))
+        signs = {repr(part) for x in ones for c in x.terms.values()
+                 for part in (c.raw.real, c.raw.imag) if not part}
+        assert signs == {"0.0", "-0.0"}
+    for group, ref_mul, ref_adjoint in ((ones, _ref_algebra_mul, _ref_algebra_adjoint),
+                                        (twos, _ref_tensor_mul, _ref_tensor_adjoint),
+                                        (threes, _ref_tensor_mul, _ref_tensor_adjoint)):
+        for x in group:
+            _same_terms(x.adjoint(), ref_adjoint(x))
+            for y in group:
+                product = x * y
+                _same_terms(product, ref_mul(x, y))
+                assert product.sorted_terms() == _ref_sorted_terms(product)
+            words = [w for key in x.terms for w in ((key,) if isinstance(key, Word) else key)]
+            assert x.max_word_length() == max(len(w) for w in words)
+            assert x.max_abs_zexp() == max(abs(w.zexp) for w in words)
+    # the tracer wraps each class's own __mul__ under its own name
+    assert AlgebraElement.__dict__["__mul__"] is TensorElement.__dict__["__mul__"]
+
+
+def test_freealg_imports_only_scalar_and_the_certifier():
+    import ast
+    import pathlib
+
+    from braidfoq import freealg
+
+    tree = ast.parse(pathlib.Path(freealg.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert relative == {"scalar", "_certifier"}
+    assert not any(name.split(".")[0] == "braidfoq" for name in absolute)

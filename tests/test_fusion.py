@@ -77,6 +77,13 @@ def test_ring_checks_pass(even, odd):
         assert report["passed"], report["failures"][:3]
 
 
+def test_ring_checks_reject_a_negative_bound(even):
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        ring_checks(even, -1)
+    # bound 0 checks the unit label alone
+    assert ring_checks(even, 0)["passed"]
+
+
 def test_q_oracle_family():
     for q in (-1.0, -0.5, 0.3, 1.0):
         instance = su_q2_reference_instance(q)

@@ -59,6 +59,16 @@ def test_field_mismatch_rejected(f8):
         f8.one() + other.one()
 
 
+def test_matrix_product_rejects_mismatched_fields(f8):
+    f12 = Field.cyclotomic(12)
+    with pytest.raises(FieldMismatch):
+        Matrix(f8, [[f8.root(1)]]) @ Matrix(f12, [[f12.root(1)]])
+    # an equal field that is another object multiplies
+    twin = Field.cyclotomic(8)
+    product = Matrix(f8, [[f8.root(1)]]) @ Matrix(twin, [[twin.root(1)]])
+    assert product == Matrix(f8, [[f8.root(2)]])
+
+
 def test_embed_examples(f8):
     f32 = Field.cyclotomic(32)
     assert f8.root(1).embed_into(f32) == f32.root(4)
@@ -360,6 +370,10 @@ def test_raw_kernel_matches_fraction_reference(data):
 
     expect(kernel.mul(a, b), product)
     assert list((field.from_coeffs(ra) * field.from_coeffs(rb)).coeffs) == product
+    expect(kernel.add(p, a), [x + y for x, y in zip(rp, ra)])
+    expect(kernel.sub(p, a), [x - y for x, y in zip(rp, ra)])
+    assert kernel.sub(a, a) == kernel.zero
+    assert Scalar(field, kernel.add(a, b)) == field.from_coeffs(ra) + field.from_coeffs(rb)
     expect(kernel.fms(p, a, b), [x - y for x, y in zip(rp, product)])
     # a difference that cancels comes out as 0/1, whatever the denominators
     expect(kernel.fms(kernel.mul(a, b), a, b), [Fraction(0)] * field.degree)
@@ -412,6 +426,9 @@ def test_raw_kernel_on_an_approx_field(p, x, y):
     assert Scalar(field, x) == field.from_complex(x)
     assert kernel.mul(x, y) == (field.from_complex(x) * field.from_complex(y)).raw
     assert kernel.fms(p, x, y) == p - x * y
+    # add and sub are the complex operators, signed zeros included
+    assert repr(kernel.add(x, y)) == repr(x + y) == repr((Scalar(field, x) + Scalar(field, y)).raw)
+    assert repr(kernel.sub(x, y)) == repr(x - y) == repr((Scalar(field, x) - Scalar(field, y)).raw)
     assert kernel.is_zero(kernel.zero) and kernel.is_zero(5e-10) and not kernel.is_zero(2e-9)
     assert kernel.is_zero(kernel.fms(x * y, x, y))
     if abs(x) > 1e-9:

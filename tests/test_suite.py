@@ -44,6 +44,19 @@ def test_seed_42_report_matches_recorded_hash_serial_and_pooled(monkeypatch):
     assert pooled == serial
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_seed_42_pooled_report_is_the_serial_one_under_start_method(method):
+    # the pool takes the platform's default start method: fork on Linux
+    # before Python 3.14, forkserver from 3.14, spawn on macOS and Windows
+    code = ("import multiprocessing, sys; "
+            f"multiprocessing.set_start_method({method!r}); "
+            "from braidfoq.suite import RunConfig, report_to_text, run_suite; "
+            "sys.stdout.write(report_to_text(run_suite(RunConfig(seed=42, workers=2))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(ROOT / "src")}, timeout=300, check=True)
+    assert out.stdout == report_to_text(run_suite(RunConfig(seed=42, workers=1)))
+
+
 def test_seed_7_pinned_field_report_matches_recorded_hash():
     # the field-pinned paths (every random instance over Q(zeta_8)), which
     # the seed-42 report does not take
