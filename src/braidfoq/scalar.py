@@ -218,7 +218,8 @@ class _CycloTable:
     def neg(x: tuple[int, ...]) -> tuple[int, ...]:
         return (*map(_neg, x[:-1]), x[-1])
 
-    add, sub = partial(_combined, _add), partial(_combined, _sub)
+    # staticmethod: from Python 3.14 a bare partial binds like a method
+    add, sub = staticmethod(partial(_combined, _add)), staticmethod(partial(_combined, _sub))
 
     def inverse(self, x: tuple[int, ...]) -> tuple[int, ...]:
         num, den = x[:-1], x[-1]

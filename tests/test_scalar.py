@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import threading
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidfoq import Field, FieldMismatch, Matrix, Scalar, SingularMatrix
-from braidfoq.scalar import _CycloTable
+from braidfoq.scalar import _ApproxKernel, _CycloTable
 
 
 def test_root_of_unity_order(f8):
@@ -433,6 +434,22 @@ def test_raw_kernel_on_an_approx_field(p, x, y):
     assert kernel.is_zero(kernel.fms(x * y, x, y))
     if abs(x) > 1e-9:
         assert kernel.inverse(x) == field.from_complex(x).inverse().raw
+
+
+def test_kernel_ops_do_not_bind_the_kernel():
+    # from Python 3.14 a functools.partial in a class body binds like a method
+    # (3.13 warns on it), so a kernel op must never be stored as a bare partial
+    for cls in (_CycloTable, _ApproxKernel):
+        for name, value in vars(cls).items():
+            assert not isinstance(value, functools.partial), (cls.__name__, name)
+    assert isinstance(vars(_CycloTable)["add"], staticmethod)
+    assert isinstance(vars(_CycloTable)["sub"], staticmethod)
+    field = Field.cyclotomic(8)
+    z = field.root(1).raw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Scalar(field, field.kernel.add(z, z)) == field.root(1) + field.root(1)
+        assert field.kernel.sub(z, z) == field.kernel.zero
 
 
 # -- matrix products and elimination against a schoolbook Scalar reference ----
