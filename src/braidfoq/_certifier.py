@@ -19,7 +19,9 @@ class IdealCertifier:
 
     The ambient spanning set is {a * r * b} for r in the relation list and
     its adjoints, a and b monomials, subject to word-degree <= bound and
-    |zexp| <= bound.  Rows are discovered by division: starting from the
+    |zexp| <= bound.  Each r is taken once up to a nonzero scalar and a
+    right power of z: a * (c r z^k) * b is a multiple of a * r * (z^k b),
+    a row with the same words that sorts first.  Rows are discovered by division: starting from the
     target's words, every decoration a * r * b whose support meets the
     working column set is generated (matching each relation word as a
     contiguous factor), and newly seen support words are processed in turn
@@ -89,11 +91,13 @@ class IdealCertifier:
         self._decoded: dict[int, Word] = {}
         self._word_zdegs: dict[int, int] = {}  # length and letters -> zdeg
 
-        # (idx, star) -> terms (word less its letters, letters, length, zexp,
-        # coefficient, zdeg of the letters) of the relation or its adjoint
-        self._oriented: dict[tuple[int, bool], list[tuple]] = {}
-        # (idx, star, longest word, z-exponent range)
-        base: list[tuple[int, bool, int, int, int]] = []
+        # one entry per orientation (a relation or its adjoint) up to a
+        # nonzero scalar and a right power of z: (idx, star, longest word,
+        # z-exponent range, terms), each term (word less its letters,
+        # letters, length, zexp, coefficient, zdeg of the letters).  r * z^k
+        # has r's coefficients on z-shifted words, so the key drops the first
+        # word's z field and scales the first coefficient to 1
+        base: list[tuple[int, bool, int, int, int, list[tuple]]] = []
         # word length k -> relation word letters -> (base index, zexp) of
         # each base term with those letters
         divisors: dict[int, dict[int, list[tuple[int, int]]]] = {}
@@ -101,22 +105,22 @@ class IdealCertifier:
         for idx, rel in enumerate(self.relations):
             for star in (False, True):
                 elem = rel.adjoint() if star else rel
-                terms = [(self._encode(w), c) for w, c in elem.terms.items()]
-                self._oriented[(idx, star)] = [self._oriented_term(w, c.raw) for w, c in terms]
+                terms = [(self._encode(w), c.raw) for w, c in elem.terms.items()]
+                oriented = [self._oriented_term(w, raw) for w, raw in terms]
                 terms.sort(key=lambda term: term[0])
                 lengths = [self._length(w) for w, _ in terms]
                 if not terms or max(lengths) > degree_bound:
                     continue
-                inv = terms[0][1].inverse()
-                key = tuple((w, repr((inv * c).to_json())) for w, c in terms)
+                zexps = [w >> self._sz for w, _ in terms]
+                shift, inv = zexps[0] << self._sz, kernel.inverse(terms[0][1])
+                key = tuple((w - shift, kernel.mul(inv, raw)) for w, raw in terms)
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                zexps = [w >> self._sz for w, _ in terms]
                 for (w, _), k, zexp in zip(terms, lengths, zexps):
                     letters = self._letters_of(w) >> (self._slots - k) * self._bits
                     divisors.setdefault(k, {}).setdefault(letters, []).append((len(base), zexp))
-                base.append((idx, star, max(lengths), min(zexps), max(zexps)))
+                base.append((idx, star, max(lengths), min(zexps), max(zexps), oriented))
         self._base = base
         self._divisors = sorted(divisors.items())
         self._inverses: dict = {}  # raw pivot lead -> its raw inverse
@@ -126,7 +130,8 @@ class IdealCertifier:
         # full row combinations are resolved lazily per certificate
         self._pivots: dict[int, tuple[dict, int, dict, object]] = {}
         self._combo_cache: dict[int, dict[int, object]] = {}
-        self._decorations: list[tuple[int, int, bool, int]] = []
+        # decorations (base index, a, b), whose tuple order is (idx, star, a, b)
+        self._decorations: list[tuple[int, int, int]] = []
         self._processed: set[int] = set()
         self._seen_rows: set[tuple] = set()
 
@@ -223,7 +228,7 @@ class IdealCertifier:
 
     # row discovery --------------------------------------------------------
 
-    def _rows_touching(self, word: int) -> list[tuple[int, int, bool, int]]:
+    def _rows_touching(self, word: int) -> list[tuple[int, int, int]]:
         """All decorations (a, r, b) with a relation word of r dividing `word`
         whose row stays within the word-length and |zexp| bound."""
         D, bits, slots, sl, sz = self.degree_bound, self._bits, self._slots, self._sl, self._sz
@@ -236,7 +241,7 @@ class IdealCertifier:
             mask = (1 << k * bits) - 1
             for pos in range(length - k + 1):
                 for bi, u_zexp in divisors.get(letters >> (slots - pos - k) * bits & mask, ()):
-                    idx, star, max_len, zexp_lo, zexp_hi = base[bi]
+                    max_len, zexp_lo, zexp_hi = base[bi][2:5]
                     shift = zexp - u_zexp
                     # every decoration matching u pads r by length - k letters
                     # and shifts its z-exponents by `shift`
@@ -246,11 +251,11 @@ class IdealCertifier:
                     left = (pos << sl) + (letters >> (slots - pos) * bits << (slots - pos) * bits)
                     right = ((shift << sz) + (length - pos - k << sl)
                              + (letters << (pos + k) * bits & (1 << sl) - 1))
-                    key = (bi, left, right)
-                    if key not in seen:
-                        seen.add(key)
-                        found.append((left, idx, star, right))
-        found.sort(key=lambda d: (d[1], d[2], d[0], d[3]))
+                    decoration = (bi, left, right)
+                    if decoration not in seen:
+                        seen.add(decoration)
+                        found.append(decoration)
+        found.sort()
         return found
 
     def _expand_row(self, decoration) -> dict[int, object]:
@@ -261,7 +266,7 @@ class IdealCertifier:
         Multiplying by a monomial is injective on words, so no two terms
         merge and no coefficient vanishes.
         """
-        left, idx, star, right = decoration
+        bi, left, right = decoration
         p, la_len, bits = left >> self._sz, self._length(left), self._bits
         lb = self._letters_of(right)
         right_zdeg = self._word_zdeg(right)
@@ -269,7 +274,7 @@ class IdealCertifier:
         outer = left + right - lb
         mul, phases = self._mul, self._phases
         row: dict[int, object] = {}
-        for w_fields, lw, w_len, q, c, w_zdeg in self._oriented[(idx, star)]:
+        for w_fields, lw, w_len, q, c, w_zdeg in self._base[bi][5]:
             e = -p * w_zdeg - (p + q) * right_zdeg
             if e:
                 phase = phases.get(e)
@@ -403,7 +408,8 @@ class IdealCertifier:
                             other: Word | None) -> list[CertEntry]:
         entries = []
         for rid in sorted(combo):
-            left, idx, star, right = self._decorations[rid]
+            bi, left, right = self._decorations[rid]
+            idx, star = self._base[bi][:2]
             entries.append(CertEntry(leg=leg, left=self._decode(left), rel_index=idx,
                                      star=star, right=self._decode(right), other=other,
                                      coeff=Scalar(self.context.field, self._raw(combo[rid]))))

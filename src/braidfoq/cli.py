@@ -270,7 +270,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_fuse(args) -> int:
     ctx = FusionContext(n=args.n, parity="even_d" if args.parity == "even" else "odd_d")
-    decomposition = fuse(IrrepLabel(*args.a), IrrepLabel(*args.b), ctx)
+    try:  # fuse checks both labels; one outside the parity is malformed input
+        decomposition = fuse(IrrepLabel(*args.a), IrrepLabel(*args.b), ctx)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     _emit(decomposition.to_json(), args.out)
     return EXIT_OK
 

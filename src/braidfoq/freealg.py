@@ -483,18 +483,6 @@ class AlgebraElement(_Combination):
                 return None
         return degree
 
-    def strip_unit_factors(self) -> "AlgebraElement":
-        """Cancel a common right z-power and normalize the leading coefficient."""
-        if self.is_zero():
-            return self
-        zexps = {w.zexp for w in self.terms}
-        shift = next(iter(zexps)) if len(zexps) == 1 else 0
-        shifted = self
-        if shift:
-            shifted = self * AlgebraElement.monomial(self.context, Word(-shift, ()))
-        lead_coeff = shifted.sorted_terms()[0][1]
-        return shifted.scale(lead_coeff.inverse())
-
     def to_json(self) -> list:
         return [[c.to_json(), *w.to_json()] for w, c in self.sorted_terms()]
 

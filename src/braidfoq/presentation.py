@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 
 from .freealg import (AlgebraContext, AlgebraElement, GeneratorSym, TensorElement,
-                      Word, _substitute_words, normal_form)
+                      Word, _substitute_words, ideal_membership, normal_form)
 from .graded import OmegaData, _require_block_condition, f_matrix
 from .scalar import Field, Matrix, Scalar, SingularMatrix
 
@@ -56,9 +56,6 @@ class Presentation:
 
     def relation(self, label: str) -> AlgebraElement:
         return self.relations[self.relation_labels.index(label)]
-
-    def nonzero_relations(self) -> list[AlgebraElement]:
-        return [r for r in self.relations if not r.is_zero()]
 
 
 def _graded_context(data: OmegaData) -> AlgebraContext:
@@ -342,20 +339,24 @@ def apply_morphism(morphism: MorphismSpec, element: AlgebraElement,
 
 def check_morphism(morphism: MorphismSpec, source: Presentation,
                    target: Presentation) -> bool:
-    """Every source relation must map into the span of the target relations.
+    """Every source relation must map into the ideal of the target relations.
 
     Images that normalize to zero (scalar identities) are accepted
-    outright; otherwise the image must match a target relation up to a
-    scalar and a unit monomial factor.
+    outright.  Every other image is certified with ``ideal_membership`` at
+    the smallest bound that holds its words, and its certificate is
+    replayed; one that does not replay raises ValueError.  Any verdict but
+    ``in_ideal`` gives False.
     """
-    targets = [rel.strip_unit_factors() for rel in target.nonzero_relations()]
-    for rel in source.relations:
+    for label, rel in zip(source.relation_labels, source.relations):
         image = apply_morphism(morphism, rel, target.context)
         if image.is_zero():
             continue
-        stripped = image.strip_unit_factors()
-        if not any(stripped == t for t in targets):
+        bound = max(image.max_word_length(), image.max_abs_zexp())
+        cert = ideal_membership(image, target.relations, bound)
+        if cert.verdict != "in_ideal":
             return False
+        if cert.replay(target.relations, target.context) != image:
+            raise ValueError(f"the certificate of the image of {label} does not replay")
     return True
 
 

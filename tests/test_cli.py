@@ -238,6 +238,13 @@ def test_malformed_fuse_label_is_usage_error(capsys):
     assert _exit_code(["fuse", "--a", "1", "--b", "1,0", "--parity", "even"]) == 2
 
 
+@pytest.mark.parametrize("a, b", [("1,0", "1,1"), ("1,1", "1,0")])
+def test_fuse_label_outside_the_parity_is_usage_error(a, b, capsys):
+    # k - l must be even in odd parity, for either label
+    assert _exit_code(["fuse", "--a", a, "--b", b, "--parity", "odd"]) == 2
+    assert "k - l even" in capsys.readouterr().err
+
+
 def test_unknown_field_spec_is_usage_error(capsys):
     assert _exit_code(["suite", "--field", "xx:8"]) == 2
     assert _exit_code(["suite", "--field", "float:inf"]) == 2

@@ -12,6 +12,7 @@ from braidfoq import (Matrix, Scalar, apply_comult, bosonisation_presentation,
 from braidfoq.freealg import (AlgebraElement, GeneratorSym, TensorElement, Word, _word_adjoint,
                               _word_mul)
 from braidfoq.presentation import Presentation
+from conftest import strip_unit_factors
 
 
 @pytest.fixture(scope="module")
@@ -112,11 +113,11 @@ def test_multiply_associative_adjoint_antimultiplicative(boson_e1):
 def test_invariance_adjoint_is_phase_relabelled_invariance(e1):
     # taking adjoints permutes the invariance family up to a phase
     p = braided_presentation(e1)
-    family = [p.relation(f"invariance({i},{j})").strip_unit_factors()
+    family = [strip_unit_factors(p.relation(f"invariance({i},{j})"))
               for i in range(2) for j in range(2)]
     for i in range(2):
         for j in range(2):
-            adj = p.relation(f"invariance({i},{j})").adjoint().strip_unit_factors()
+            adj = strip_unit_factors(p.relation(f"invariance({i},{j})").adjoint())
             assert any(adj == rel for rel in family)
 
 
@@ -561,10 +562,10 @@ def test_fast_path_row_equals_generic_product(decoration_cases, case, data):
         letters = data.draw(st.lists(st.sampled_from(alphabet), max_size=3))
         return Word(data.draw(st.sampled_from((-2, -1, 1, 2))), tuple(letters))
 
-    idx = data.draw(st.integers(0, len(certifier.relations) - 1))
-    star = data.draw(st.booleans())
+    bi = data.draw(st.integers(0, len(certifier._base) - 1))
+    idx, star = certifier._base[bi][:2]
     left, right = word(), word()
-    row = certifier._expand_row((certifier._encode(left), idx, star, certifier._encode(right)))
+    row = certifier._expand_row((bi, certifier._encode(left), certifier._encode(right)))
     rel = certifier.relations[idx]
     rel = rel.adjoint() if star else rel
     expected = (AlgebraElement.monomial(ctx, left) * rel
@@ -669,6 +670,30 @@ def test_heap_reduction_matches_min_scan(e1_bound3_certifier, data):
     expected_residual, expected_hits = _min_scan_reduce(certifier, vec)
     assert residual == expected_residual
     assert list(hits.items()) == list(expected_hits.items())
+
+
+def _right_z_normalized(element):
+    """The element times c^-1 z^-k, for c z^k the first term's coefficient and
+    z-power: equal for two elements that differ by a scalar and a right z-power."""
+    word, coeff = element.sorted_terms()[0]
+    return element * AlgebraElement.monomial(element.context, Word(-word.zexp, ()),
+                                             coeff.inverse())
+
+
+@pytest.mark.parametrize("build, rows, pivots", [(t_form_presentation, 604, 343),
+                                                 (bosonisation_presentation, 1228, 701)])
+def test_orientations_are_built_once_up_to_scalar_and_right_z(e1, build, rows, pivots):
+    from braidfoq.freealg import IdealCertifier
+
+    presentation = build(e1)
+    certifier = IdealCertifier(presentation.context, presentation.relations, 3)
+    for rel in presentation.relations:
+        certifier.certify_tensor(apply_comult(rel, presentation))
+    assert (len(certifier._decorations), len(certifier._pivots)) == (rows, pivots)
+    normalized = [_right_z_normalized(presentation.relations[idx].adjoint() if star
+                                      else presentation.relations[idx])
+                  for idx, star, *_ in certifier._base]
+    assert all(a != b for i, a in enumerate(normalized) for b in normalized[:i])
 
 
 @pytest.mark.parametrize("fixture, label", [("e1", "welldef_e1_boson_b3_s"),
@@ -809,7 +834,7 @@ def test_unit_exponents_stay_off_approx_fields(boson_e1):
     actx, relations = _approx_image(boson_e1.context, boson_e1.relations)
     certifier = IdealCertifier(actx, relations, 3)
     assert certifier._modulus is None and certifier._one == actx.field.kernel.one
-    assert all(type(c) is complex for terms in certifier._oriented.values()
+    assert all(type(c) is complex for *_, terms in certifier._base
                for *_, c, _ in terms)
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,10 +10,10 @@ from braidfoq import (Matrix, aof_presentation, bosonisation_presentation,
                       reduce_to_degree_zero, serialize_presentation,
                       t_form_presentation)
 from braidfoq.freealg import AlgebraElement, TensorElement
-from braidfoq.presentation import (aof_to_tform_morphism, apply_morphism,
+from braidfoq.presentation import (MorphismSpec, aof_to_tform_morphism, apply_morphism,
                                    check_morphism, substitute_t_generators)
 from braidfoq.sampling import random_valid_instance
-from conftest import zeros
+from conftest import strip_unit_factors, zeros
 
 
 def _letter(ctx, sym):
@@ -97,8 +98,8 @@ def test_tform_matches_aof_at_degree_zero(e2):
     def canonical(p):
         return sorted(
             tuple((w.key(), json.dumps(c.to_json(), sort_keys=True))
-                  for w, c in r.strip_unit_factors().sorted_terms())
-            for r in p.nonzero_relations())
+                  for w, c in strip_unit_factors(r).sorted_terms())
+            for r in p.relations if not r.is_zero())
 
     assert canonical(tform) == canonical(aof)
 
@@ -115,7 +116,7 @@ def test_tform_substitution_gives_bosonisation(e1):
         else:
             i, j = label[label.index("(") + 1:-1].split(",")
             target = boson.relation(f"invariance({j},{i})")
-        assert substituted.strip_unit_factors() == target.strip_unit_factors()
+        assert strip_unit_factors(substituted) == strip_unit_factors(target)
 
 
 def test_aof_identity_matrix_relation(f8):
@@ -165,6 +166,51 @@ def test_aof_to_tform_morphism(e2):
     aof = aof_presentation(f_matrix(reduced), zeta=reduced.space.zeta)
     tform = t_form_presentation(reduced)
     assert check_morphism(phi, aof, tform)
+
+
+def _scaled(morphism, generator, coeff):
+    """The morphism with one generator's image scaled by ``coeff``."""
+    image = morphism.assignment[generator].scale(coeff)
+    return MorphismSpec(morphism.source, morphism.target,
+                        {**morphism.assignment, generator: image})
+
+
+def _aof_tform(data):
+    reduced = reduce_to_degree_zero(data).final
+    return (aof_to_tform_morphism(reduced),
+            aof_presentation(f_matrix(reduced), zeta=reduced.space.zeta),
+            t_form_presentation(reduced))
+
+
+@pytest.mark.parametrize("fixture", ["e0", "e1", "e2"])
+def test_mutated_morphisms_are_not_certified(request, fixture):
+    data = request.getfixturevalue(fixture)
+    _, pi = projection_morphisms(data)
+    boson = bosonisation_presentation(data)
+    circle = circle_presentation(data.space.field, data.space.zeta)
+    # u(0,0) -> zeta sends an invariance relation to a nonzero constant
+    assert not check_morphism(_scaled(pi, boson.context.u(0, 0), circle.context.zeta),
+                              boson, circle)
+    phi, aof, tform = _aof_tform(data)
+    assert check_morphism(phi, aof, tform)
+    for generator in phi.assignment:
+        assert not check_morphism(_scaled(phi, generator, tform.context.zeta), aof, tform)
+
+
+def test_a_certificate_that_does_not_replay_raises(e2, monkeypatch):
+    import braidfoq.presentation as presentation
+
+    certify = presentation.ideal_membership
+
+    def doubled(target, relations, degree_bound):
+        cert = certify(target, relations, degree_bound)
+        combination = tuple(replace(entry, coeff=entry.coeff + entry.coeff)
+                            for entry in cert.combination)
+        return replace(cert, combination=combination)
+
+    monkeypatch.setattr(presentation, "ideal_membership", doubled)
+    with pytest.raises(ValueError, match=r"x_isometry\(0,0\) does not replay"):
+        check_morphism(*_aof_tform(e2))
 
 
 def test_serialization_round_trip_byte_identical(e1):
