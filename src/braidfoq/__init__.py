@@ -14,8 +14,8 @@ from .presentation import (MorphismSpec, Presentation, aof_presentation,
                            bosonisation_presentation, braided_presentation,
                            check_morphism, circle_presentation,
                            deserialize_presentation, intertwiner_check, projection_morphisms,
-                           serialize_presentation, substitute_t_generators,
-                           t_form_presentation)
+                           serialize_presentation, t_form_presentation,
+                           tform_to_bosonisation_morphism)
 from .fusion import (FusionContext, FusionDecomposition, IrrepLabel, conj_label, dim,
                      fuse, q_parameter, ring_checks, su_q2_reference_instance)
 

@@ -10,11 +10,11 @@ u[i,j] and t[i,j], negated for their adjoints).  The rule has a single
 z-counter, so it is terminating and confluent, and membership bases never
 need z-commutators.
 
-On top of the element arithmetic this module supplies comultiplication
-application on one, two and three tensor legs, the coassociativity check,
-and bounded-degree ideal-membership certification by exact sparse
-Gaussian elimination (the certifier itself is in ``_certifier``, loaded on
-first use).
+On top of the element arithmetic this module supplies the one extension of
+a generator table (comultiplication to two and three legs, and morphisms),
+the coassociativity check, and bounded-degree ideal-membership
+certification by exact sparse Gaussian elimination (the certifier itself
+is in ``_certifier``, loaded on first use).
 """
 
 from __future__ import annotations
@@ -547,64 +547,65 @@ class TensorElement(_Combination):
         terms: dict[tuple[Word, ...], Scalar] = {}
         for coeff_json, words in data:
             key = tuple(Word.from_json(w) for w in words)
+            if len(key) != legs:
+                raise ValueError(f"a {legs}-leg term has {len(key)} words")
             terms[key] = Scalar.from_json(coeff_json, context.field)
         return cls(context, legs, terms)
 
 
-# -- comultiplication ------------------------------------------------------
+# -- generator tables: comultiplication and morphisms -----------------------
 
 
-def _comult_image(presentation, letter: GeneratorSym, cache: dict) -> TensorElement:
-    image = cache.get(letter)
-    if image is not None:
-        return image
-    base = presentation.comult.get(letter)
-    if base is not None:
-        image = base
-    else:
-        unstarred = letter.star()
-        base = presentation.comult.get(unstarred)
-        if base is None:
-            raise ValueError(f"generator {letter.display()} has no comultiplication")
-        image = base.adjoint()
-    cache[letter] = image
-    return image
+_Z = GeneratorSym("Z")
 
 
-def _substitute_words(element: AlgebraElement, one, letter_image, z_image):
-    """Sum of c * letter_image(l_1) * ... * letter_image(l_k) * z_image(e) over
-    the terms c * l_1...l_k z^e of `element` (z_image only for e != 0)."""
+def _z_power(one, zexp: int):
+    """z^zexp in every leg of ``one``, the unit of an algebra or tensor element."""
+    (key, c), = one.terms.items()
+    return one._like({one._key([Word(zexp, ())] * len(one._legs(key))): c})
+
+
+def _substitute_words(element: AlgebraElement, images: dict, one, cache: dict):
+    """Extend a generator table multiplicatively: the sum over the terms
+    c * l_1...l_k z^e of ``element`` of c * image(l_1) * ... * image(l_k) * z^e.
+
+    ``images`` is a presentation's ``comult`` or a morphism's assignment and
+    ``one`` the unit of the target (an algebra or a tensor element).  A letter
+    the table lacks takes the adjoint of its star's image, formed once and kept
+    in ``cache``.  The one z rule: a table that names Z sends it to z in every
+    leg, so z^e goes to z^e; it is checked once per cache.
+    """
+    z_image = images.get(_Z)
+    if z_image is not None and _Z not in cache:
+        if z_image != _z_power(one, 1):
+            raise ValueError("Z must map to z in every leg")
+        cache[_Z] = z_image
     out: dict = {}
     for word, coeff in element.sorted_terms():
         acc = one
         for letter in word.letters:
-            acc = acc * letter_image(letter)
+            image = cache.get(letter)
+            if image is None:
+                image = images.get(letter)
+                if image is None:
+                    base = images.get(letter.star())
+                    if base is None:
+                        raise ValueError(f"generator {letter.display()} has no image")
+                    image = base.adjoint()
+                cache[letter] = image
+            acc = acc * image
         if word.zexp:
-            acc = acc * z_image(word.zexp)
+            if z_image is None:
+                raise ValueError("Z has no image")
+            acc = acc * _z_power(one, word.zexp)
         _add_scaled(out, coeff, acc.terms.items())
     return _adopted(one._like({}), out)
 
 
 def apply_comult(element: AlgebraElement, presentation) -> TensorElement:
     """Extend the presentation's generator comultiplication multiplicatively."""
-    return _comult(element, presentation, {})
-
-
-def _comult(element: AlgebraElement, presentation, images: dict) -> TensorElement:
-    """``apply_comult`` reading each letter's image from ``images`` (a
-    letter -> 2-leg image table) and adding the ones it lacks, so callers
-    that comultiply many elements form each starred image once."""
-    context = element.context
-    if any(word.zexp for word in element.terms):
-        image = presentation.comult.get(GeneratorSym("Z"))
-        if image is None:
-            raise ValueError("presentation has no comultiplication for Z")
-        if image != TensorElement(context, 2, {(Word(1, ()),) * 2: context.field.one()}):
-            raise ValueError("z-powers extend only through the group-like image z (x) z")
-    return _substitute_words(
-        element, TensorElement.one(context, 2),
-        lambda letter: _comult_image(presentation, letter, images),
-        lambda zexp: TensorElement(context, 2, {(Word(zexp, ()),) * 2: context.field.one()}))
+    return _substitute_words(element, presentation.comult,
+                             TensorElement.one(element.context, 2), {})
 
 
 def expand_three_legs(t2: TensorElement, presentation, leg: int) -> TensorElement:
@@ -756,12 +757,12 @@ def well_definedness_check(presentation, degree_bound: int, *,
     """
     certifier = None
     results = []
-    images: dict = {}
+    one, images = TensorElement.one(presentation.context, 2), {}
     for label, rel in zip(presentation.relation_labels, presentation.relations):
         if rel.is_zero():
             cert = MembershipCertificate("in_ideal", degree_bound)
         else:
-            target = _comult(rel, presentation, images)
+            target = _substitute_words(rel, presentation.comult, one, images)
             if (target.max_word_length() > degree_bound
                     or target.max_abs_zexp() > degree_bound
                     or rel.max_word_length() > degree_bound
@@ -782,9 +783,9 @@ def well_definedness_check(presentation, degree_bound: int, *,
 def _unreplayed(presentation, report: dict) -> list[str]:
     """The relations of a ``well_definedness_check`` report whose in_ideal
     certificate does not replay to the relation's comultiplication image."""
-    images: dict = {}
+    one, images = TensorElement.one(presentation.context, 2), {}
     return [record["relation"]
             for record, rel in zip(report["relations"], presentation.relations)
             if record["verdict"] == "in_ideal"
-            and record["certificate"].replay(presentation.relations, presentation.context,
-                                             legs=2) != _comult(rel, presentation, images)]
+            and record["certificate"].replay(presentation.relations, presentation.context, legs=2)
+            != _substitute_words(rel, presentation.comult, one, images)]

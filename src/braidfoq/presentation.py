@@ -27,8 +27,8 @@ __all__ = [
     "intertwiner_check",
     "projection_morphisms",
     "serialize_presentation",
-    "substitute_t_generators",
     "t_form_presentation",
+    "tform_to_bosonisation_morphism",
 ]
 
 
@@ -296,50 +296,20 @@ class MorphismSpec:
     target: str
     assignment: dict[GeneratorSym, AlgebraElement]
 
-    def to_json(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "assignment": {g.display(): e.to_json()
-                           for g, e in sorted(self.assignment.items(),
-                                              key=lambda kv: kv[0].key())},
-        }
-
 
 def apply_morphism(morphism: MorphismSpec, element: AlgebraElement,
                    target_context: AlgebraContext) -> AlgebraElement:
-    """Push an element through a generator assignment.
-
-    z-powers in a word are sent through the image of Z, which must be a
-    single invertible monomial for negative powers to make sense.
-    """
-    z_gen = next((g for g in morphism.assignment if g.kind == "Z"), None)
-
-    def letter_image(letter: GeneratorSym) -> AlgebraElement:
-        image = morphism.assignment.get(letter)
-        if image is None:
-            base = morphism.assignment.get(letter.star())
-            if base is None:
-                raise ValueError(f"assignment is missing {letter.display()}")
-            image = base.adjoint()
-        return image
-
-    def z_image(zexp: int) -> AlgebraElement:
-        if z_gen is None:
-            raise ValueError("assignment is missing Z")
-        terms = morphism.assignment[z_gen].sorted_terms()
-        if len(terms) != 1 or terms[0][0].letters:
-            raise ValueError("the image of Z must be a z-monomial")
-        zword, zcoeff = terms[0]
-        return AlgebraElement.monomial(target_context, Word(zword.zexp * zexp, ()),
-                                       zcoeff ** zexp)
-
-    return _substitute_words(element, AlgebraElement.one(target_context), letter_image, z_image)
+    """Push an element through a generator assignment (see ``_substitute_words``)."""
+    return _substitute_words(element, morphism.assignment,
+                             AlgebraElement.one(target_context), {})
 
 
 def check_morphism(morphism: MorphismSpec, source: Presentation,
                    target: Presentation) -> bool:
-    """Every source relation must map into the ideal of the target relations.
+    """Every source relation must map into the ideal of the target relations,
+    and so must, when the source has Z, each z-commutation
+    z g - zeta^(-zdeg(g)) g z of a source generator g, formed on the images:
+    the source's z-normal form absorbs those relations.
 
     Images that normalize to zero (scalar identities) are accepted
     outright.  Every other image is certified with ``ideal_membership`` at
@@ -347,15 +317,25 @@ def check_morphism(morphism: MorphismSpec, source: Presentation,
     replayed; one that does not replay raises ValueError.  Any verdict but
     ``in_ideal`` gives False.
     """
-    for label, rel in zip(source.relation_labels, source.relations):
-        image = apply_morphism(morphism, rel, target.context)
-        if image.is_zero():
+    s_ctx, t_ctx = source.context, target.context
+    images = [(label, apply_morphism(morphism, rel, t_ctx))
+              for label, rel in zip(source.relation_labels, source.relations)]
+    if s_ctx.z(1) in source.generators:
+        z = apply_morphism(morphism, AlgebraElement.from_letter(s_ctx, s_ctx.z(1)), t_ctx)
+        for g in source.generators:
+            if g.kind != "Z":
+                g_image = apply_morphism(morphism, AlgebraElement.from_letter(s_ctx, g), t_ctx)
+                phase = s_ctx.zeta_pow(-s_ctx.zdeg(g))
+                images.append((f"z-commutation of {g.display()}",
+                               z * g_image - (g_image * z).scale(phase)))
+    for label, element in images:
+        if element.is_zero():
             continue
-        bound = max(image.max_word_length(), image.max_abs_zexp())
-        cert = ideal_membership(image, target.relations, bound)
+        bound = max(element.max_word_length(), element.max_abs_zexp())
+        cert = ideal_membership(element, target.relations, bound)
         if cert.verdict != "in_ideal":
             return False
-        if cert.replay(target.relations, target.context) != image:
+        if cert.replay(target.relations, t_ctx) != element:
             raise ValueError(f"the certificate of the image of {label} does not replay")
     return True
 
@@ -371,16 +351,10 @@ def projection_morphisms(data: OmegaData) -> tuple[MorphismSpec, MorphismSpec]:
     b_ctx, c_ctx = boson.context, circle.context
 
     iota = MorphismSpec(source="circle", target="bosonisation", assignment={
-        c_ctx.z(1): AlgebraElement.from_letter(b_ctx, b_ctx.z(1)),
-    })
-    assignment: dict[GeneratorSym, AlgebraElement] = {
-        b_ctx.z(1): AlgebraElement.from_letter(c_ctx, c_ctx.z(1)),
-    }
-    n = data.space.n
-    for i in range(n):
-        for j in range(n):
-            assignment[b_ctx.u(i, j)] = (AlgebraElement.one(c_ctx) if i == j
-                                         else AlgebraElement.zero(c_ctx))
+        c_ctx.z(1): AlgebraElement.from_letter(b_ctx, b_ctx.z(1))})
+    n, one, zero = data.space.n, AlgebraElement.one(c_ctx), AlgebraElement.zero(c_ctx)
+    assignment = {b_ctx.u(i, j): one if i == j else zero for i in range(n) for j in range(n)}
+    assignment[b_ctx.z(1)] = AlgebraElement.from_letter(c_ctx, c_ctx.z(1))
     pi = MorphismSpec(source="bosonisation", target="circle", assignment=assignment)
     return iota, pi
 
@@ -397,24 +371,15 @@ def aof_to_tform_morphism(data: OmegaData) -> MorphismSpec:
     return MorphismSpec(source="aof", target="t_form", assignment=assignment)
 
 
-def substitute_t_generators(element: AlgebraElement, data: OmegaData,
-                            boson_context: AlgebraContext) -> AlgebraElement:
-    """Substitute t[i,j] = z^(d_i) u[i,j] and z-normalize."""
-    deg = data.space.degrees
-
-    def letter_image(letter: GeneratorSym) -> AlgebraElement:
-        if letter.kind == "X":
-            raw = [boson_context.z(deg[letter.i]), boson_context.u(letter.i, letter.j)]
-        elif letter.kind == "Xstar":
-            raw = [boson_context.ustar(letter.i, letter.j), boson_context.z(-deg[letter.i])]
-        else:
-            raise ValueError("substitution applies to t-generator words")
-        return AlgebraElement.from_raw(boson_context, raw)
-
-    def z_image(zexp: int) -> AlgebraElement:
-        return AlgebraElement.monomial(boson_context, Word(zexp, ()))
-
-    return _substitute_words(element, AlgebraElement.one(boson_context), letter_image, z_image)
+def tform_to_bosonisation_morphism(data: OmegaData) -> MorphismSpec:
+    """t[i,j] -> z^(d_i) u[i,j] and z -> z: the t-form's generators written
+    in the bosonisation (t*[i,j] follows as u*[i,j] z^(-d_i))."""
+    ctx = _graded_context(data)
+    n, deg = ctx.n, ctx.degrees
+    assignment = {ctx.x(i, j): AlgebraElement.from_raw(ctx, [ctx.z(deg[i]), ctx.u(i, j)])
+                  for i in range(n) for j in range(n)}
+    assignment[ctx.z(1)] = AlgebraElement.from_letter(ctx, ctx.z(1))
+    return MorphismSpec(source="t_form", target="bosonisation", assignment=assignment)
 
 
 # -- serialization -----------------------------------------------------------

@@ -34,7 +34,8 @@ def test_validate_exit_codes(e1_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["holds"] is True
     # break the instance: scale one entry
-    data = json.loads(open(e1_file).read())
+    with open(e1_file) as handle:
+        data = json.load(handle)
     data["omega"][1][0]["coeffs"][1][0] = "1"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -387,6 +388,28 @@ def test_letter_with_wrong_grading_is_usage_error(where, tmp_path, capsys):
     code, err = _exit_code_on(doc, ["verify", "--check", "coassoc"], tmp_path, capsys)
     assert code == 2
     assert "grading" in err
+
+
+@pytest.mark.parametrize("check", ["coassoc", "welldef"])
+def test_comultiplication_of_z_other_than_z_in_each_leg_exits_1(check, tmp_path, capsys):
+    # Delta(z) = z^2 (x) z breaks z u(i,j) = zeta^(di-dj) u(i,j) z on every
+    # U(i,j), relations that the z-normal form absorbs
+    doc = _boson_document()
+    doc["comult"]["Z"][0][1][0][0] = 2
+    code, err = _exit_code_on(doc, ["verify", "--check", check], tmp_path, capsys)
+    assert code == 1
+    assert "Z must map to z in every leg" in err
+
+
+@pytest.mark.parametrize("words", [1, 3])
+def test_tensor_term_with_the_wrong_word_count_is_usage_error(words, tmp_path, capsys):
+    doc = _boson_document()
+    term = doc["comult"]["U(0,0)"][0]
+    term[1] = (term[1] * 2)[:words]
+    for check in ("coassoc", "welldef"):
+        code, err = _exit_code_on(doc, ["verify", "--check", check], tmp_path, capsys)
+        assert code == 2
+        assert f"a 2-leg term has {words} words" in err
 
 
 # -- fuzz: mutated documents keep the exit-code contract ---------------------

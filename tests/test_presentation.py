@@ -11,7 +11,7 @@ from braidfoq import (Matrix, aof_presentation, bosonisation_presentation,
                       t_form_presentation)
 from braidfoq.freealg import AlgebraElement, TensorElement
 from braidfoq.presentation import (MorphismSpec, aof_to_tform_morphism, apply_morphism,
-                                   check_morphism, substitute_t_generators)
+                                   check_morphism, tform_to_bosonisation_morphism)
 from braidfoq.sampling import random_valid_instance
 from conftest import strip_unit_factors, zeros
 
@@ -107,10 +107,11 @@ def test_tform_matches_aof_at_degree_zero(e2):
 def test_tform_substitution_gives_bosonisation(e1):
     boson = bosonisation_presentation(e1)
     tform = t_form_presentation(e1)
+    t_to_u = tform_to_bosonisation_morphism(e1)
     for label, rel in zip(tform.relation_labels, tform.relations):
         if rel.is_zero():
             continue
-        substituted = substitute_t_generators(rel, e1, boson.context)
+        substituted = apply_morphism(t_to_u, rel, boson.context)
         if label.startswith("t_"):
             target = boson.relation(label[2:])
         else:
@@ -195,6 +196,77 @@ def test_mutated_morphisms_are_not_certified(request, fixture):
     assert check_morphism(phi, aof, tform)
     for generator in phi.assignment:
         assert not check_morphism(_scaled(phi, generator, tform.context.zeta), aof, tform)
+
+
+@pytest.mark.parametrize("fixture", ["e0", "e1", "e2"])
+def test_z_must_map_to_z(request, fixture):
+    data = request.getfixturevalue(fixture)
+    iota, pi = projection_morphisms(data)
+    boson = bosonisation_presentation(data)
+    circle = circle_presentation(data.space.field, data.space.zeta)
+    two = data.space.field.from_rational(2)
+    # z -> 2z sends z z* = 1 to 4, not 1
+    for morphism, source, target in ((pi, boson, circle), (iota, circle, boson)):
+        with pytest.raises(ValueError, match="Z must map to z in every leg"):
+            check_morphism(_scaled(morphism, source.context.z(1), two), source, target)
+
+
+@pytest.mark.parametrize("fixture", ["e0", "e1", "e2"])
+def test_maps_that_break_z_commutation_are_not_certified(request, fixture):
+    data = request.getfixturevalue(fixture)
+    boson = bosonisation_presentation(data)
+    circle = circle_presentation(data.space.field, data.space.zeta)
+    b_ctx, c_ctx = boson.context, circle.context
+    root, zero = data.space.field.root, AlgebraElement.zero(c_ctx)
+    vanishing, certified = [], []
+    for a in range(8):
+        for b in range(8):
+            # u -> [[0, zeta_8^a], [zeta_8^b, 0]], z -> z
+            phi = MorphismSpec("bosonisation", "circle", {
+                b_ctx.z(1): _letter(c_ctx, c_ctx.z(1)),
+                b_ctx.u(0, 0): zero, b_ctx.u(1, 1): zero,
+                b_ctx.u(0, 1): AlgebraElement.one(c_ctx).scale(root(a)),
+                b_ctx.u(1, 0): AlgebraElement.one(c_ctx).scale(root(b))})
+            if all(apply_morphism(phi, rel, c_ctx).is_zero() for rel in boson.relations):
+                vanishing.append((a, b))
+            if check_morphism(phi, boson, circle):
+                certified.append((a, b))
+    # every relation maps to zero, but z u(0,1) = zeta^(d0-d1) u(0,1) z maps
+    # to zeta_8^a (1 - zeta^(d0-d1)) z, which vanishes only on E0, whose four
+    # real +-1 permutations are morphisms
+    assert vanishing == {"e0": [(0, 0), (0, 4), (4, 0), (4, 4)],
+                         "e1": [(0, 1), (1, 0), (2, 7), (3, 6), (4, 5), (5, 4), (6, 3), (7, 2)],
+                         "e2": [(0, 2), (1, 1), (2, 0), (3, 7), (4, 6), (5, 5), (6, 4),
+                                (7, 3)]}[fixture]
+    assert certified == (vanishing if fixture == "e0" else [])
+
+
+def _bosonisation_to_tform_morphism(data, shift=0):
+    """u[i,j] -> z^(shift - d_i) t[i,j], z -> z: the inverse of
+    ``tform_to_bosonisation_morphism`` at shift 0."""
+    ctx = t_form_presentation(data).context
+    deg, n = ctx.degrees, ctx.n
+    assignment = {ctx.u(i, j): AlgebraElement.from_raw(ctx, [ctx.z(shift - deg[i]), ctx.x(i, j)])
+                  for i in range(n) for j in range(n)}
+    assignment[ctx.z(1)] = _letter(ctx, ctx.z(1))
+    return MorphismSpec("bosonisation", "t_form", assignment)
+
+
+@pytest.mark.parametrize("fixture", ["e0", "e1", "e2"])
+def test_tform_and_bosonisation_morphisms_certify_both_ways(request, fixture):
+    data = request.getfixturevalue(fixture)
+    boson, tform = bosonisation_presentation(data), t_form_presentation(data)
+    t_to_u, u_to_t = tform_to_bosonisation_morphism(data), _bosonisation_to_tform_morphism(data)
+    assert check_morphism(t_to_u, tform, boson)
+    assert check_morphism(u_to_t, boson, tform)
+    # mutually inverse on every generator and its adjoint
+    for gen in tform.generators:
+        for letter in (gen, gen.star()):
+            elem = _letter(tform.context, letter)
+            assert apply_morphism(u_to_t, apply_morphism(t_to_u, elem, boson.context),
+                                  tform.context) == elem
+    # with one more z on every u the invariance images mix z-exponents
+    assert not check_morphism(_bosonisation_to_tform_morphism(data, shift=1), boson, tform)
 
 
 def test_a_certificate_that_does_not_replay_raises(e2, monkeypatch):
